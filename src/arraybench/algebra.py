@@ -11,14 +11,22 @@ strategies produce identical results.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError, ShapeError
 from .expr import Expr, as_expr
-from .gla import GLA, AggregationTree, CellBatch, cell_batch, run_gla_chunks
+from .gla import (
+    AGGREGATES,
+    GLA,
+    AggregationTree,
+    CellBatch,
+    GroupStates,
+    _unique_rows,
+    cell_batch,
+    run_gla_chunks,
+)
 from .model import (
     DENSE,
     SPARSE,
@@ -232,9 +240,6 @@ class Predicate:
         return mask
 
 
-_AGG_KINDS = ("sum", "count", "avg", "min", "max", "count_distinct")
-
-
 @dataclass(frozen=True)
 class AggregateFn:
     """A named aggregate over one attribute; ``user`` wraps a GLA factory."""
@@ -245,7 +250,7 @@ class AggregateFn:
     gla: object = None  # user aggregate (GLA instance), kind == "user"
 
     def __post_init__(self):
-        if self.kind not in _AGG_KINDS + ("user",):
+        if self.kind not in AGGREGATES:
             raise ConfigError(f"unknown aggregate kind {self.kind!r}")
         if self.kind != "count" and self.kind != "user" and self.attr is None:
             raise ConfigError(f"aggregate {self.kind} requires an attribute")
@@ -261,6 +266,11 @@ class AggregateFn:
     def out_kind(self):
         return KIND_FLOAT64 if self.kind == "avg" else (
             KIND_INT64 if self.kind in ("count", "count_distinct") else None)
+
+    def entry(self, schema: ArraySchema):
+        """This aggregate's entry in the aggregate table."""
+        dtype = schema.attr(self.attr).dtype if self.attr else None
+        return AGGREGATES[self.kind](self.attr, dtype, self.gla)
 
     def validate(self, schema: ArraySchema):
         if self.attr is not None:
@@ -344,12 +354,10 @@ def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
     if mode != "clip":
         raise ConfigError(f"unknown rebox mode {mode!r}")
     inter_box = box_intersect(array.box, new_box)
-    schema = _clipped_schema(array.schema,
-                             inter_box if inter_box is not None else new_box) \
-        if inter_box is not None else None
     if inter_box is None:
         # Empty result: keep the requested box as the domain, no chunks.
-        return Array(_clipped_schema_unchecked(array.schema, new_box), [])
+        return Array(_clipped_schema(array.schema, new_box), [])
+    schema = _clipped_schema(array.schema, inter_box)
     chunks = []
     for c in array.chunks:
         inter = box_intersect(c.box, inter_box)
@@ -362,13 +370,6 @@ def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
             if clipped.cell_count:
                 chunks.append(clipped)
     return Array(schema, chunks)
-
-
-def _clipped_schema_unchecked(schema, new_box):
-    dims = tuple(DimensionSpec(d.name, lo, hi)
-                 for d, (lo, hi) in zip(schema.dims, new_box.ranges()))
-    return ArraySchema(schema.name, dims, schema.attrs, schema.density,
-                       schema.origin)
 
 
 def rebox_stored(catalog, name: str, new_box: Box, columns=None,
@@ -593,121 +594,41 @@ def inner_djoin(a: Array, b: Array) -> Array:
 
 
 class _GroupByGLA(GLA):
-    """Grouped aggregation: state maps group key -> per-aggregate partial."""
+    """Grouped aggregation: the state is a list of GroupStates keyed by the
+    kept dimensions' coordinates, one per folded chunk, merged into one as
+    the state ships or terminates."""
 
-    def __init__(self, keys, aggs):
+    def __init__(self, keys, aggs, schema):
         self.keys = list(keys)
-        self.aggs = aggs
+        self.entries = [a.entry(schema) for a in aggs]
 
     def init(self):
-        return {}
-
-    def _partial(self):
-        out = []
-        for agg in self.aggs:
-            if agg.kind in ("sum", "avg"):
-                out.append([0.0, 0])
-            elif agg.kind == "count":
-                out.append([0])
-            elif agg.kind in ("min", "max"):
-                out.append([None])
-            else:  # count_distinct
-                out.append(set())
-        return out
+        return []
 
     def accumulate(self, state, cells):
-        n = len(cells)
-        if n == 0:
-            return
-        if self.keys:
-            stacked = np.stack([cells.coords[k] if k in cells.coords
-                                else cells.columns[k] for k in self.keys])
-            uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-            groups = [tuple(int(v) for v in uniq[:, g])
-                      for g in range(uniq.shape[1])]
-        else:
-            groups = [()]
-            inverse = np.zeros(n, dtype=np.int64)
-        ngroups = len(groups)
-        for ai, agg in enumerate(self.aggs):
-            col = cells.columns[agg.attr] if agg.attr else None
-            if agg.kind in ("sum", "avg"):
-                sums = np.bincount(inverse, weights=col.astype(np.float64),
-                                   minlength=ngroups)
-                counts = np.bincount(inverse, minlength=ngroups)
-                for g, key in enumerate(groups):
-                    p = state.setdefault(key, self._partial())[ai]
-                    p[0] += float(sums[g])
-                    p[1] += int(counts[g])
-            elif agg.kind == "count":
-                counts = np.bincount(inverse, minlength=ngroups)
-                for g, key in enumerate(groups):
-                    p = state.setdefault(key, self._partial())[ai]
-                    p[0] += int(counts[g])
-            elif agg.kind in ("min", "max"):
-                fn = np.minimum if agg.kind == "min" else np.maximum
-                init = np.inf if agg.kind == "min" else -np.inf
-                acc = np.full(ngroups, init)
-                fn.at(acc, inverse, col.astype(np.float64))
-                for g, key in enumerate(groups):
-                    p = state.setdefault(key, self._partial())[ai]
-                    v = acc[g]
-                    if np.isfinite(v):
-                        p[0] = v if p[0] is None else (
-                            min(p[0], v) if agg.kind == "min" else max(p[0], v))
-            else:  # count_distinct
-                order = np.argsort(inverse, kind="stable")
-                sorted_inv = inverse[order]
-                bounds = np.searchsorted(sorted_inv, np.arange(ngroups + 1))
-                for g, key in enumerate(groups):
-                    vals = col[order[bounds[g]:bounds[g + 1]]]
-                    state.setdefault(key, self._partial())[ai].update(
-                        np.unique(vals).tolist())
+        if len(cells):
+            keys, groups = _unique_rows(np.column_stack(
+                [cells.coords[k] for k in self.keys]) if self.keys
+                else np.empty((len(cells), 0), dtype=np.int64))
+            state.append(GroupStates.of_cells(self.entries, keys, groups,
+                                              cells))
 
     def local_merge(self, a, b):
-        for key, pb in b.items():
-            if key not in a:
-                a[key] = pb
-                continue
-            pa = a[key]
-            for ai, agg in enumerate(self.aggs):
-                if agg.kind in ("sum", "avg"):
-                    pa[ai][0] += pb[ai][0]
-                    pa[ai][1] += pb[ai][1]
-                elif agg.kind == "count":
-                    pa[ai][0] += pb[ai][0]
-                elif agg.kind in ("min", "max"):
-                    vals = [v for v in (pa[ai][0], pb[ai][0]) if v is not None]
-                    pa[ai][0] = (min(vals) if agg.kind == "min" else max(vals)) \
-                        if vals else None
-                else:
-                    pa[ai] |= pb[ai]
-        return a
+        return a + b
+
+    def serialize(self, state):
+        return GroupStates.dumps(state)
+
+    def remote_merge(self, state, payload):
+        return state + GroupStates.loads(self.entries, payload)
 
     def terminate(self, state):
-        rows = {}
-        for key in sorted(state):
-            out = []
-            for ai, agg in enumerate(self.aggs):
-                p = state[key][ai]
-                if agg.kind == "sum":
-                    out.append(p[0] if p[1] else None)
-                elif agg.kind == "avg":
-                    out.append(p[0] / p[1] if p[1] else None)
-                elif agg.kind == "count":
-                    out.append(p[0])
-                elif agg.kind in ("min", "max"):
-                    out.append(p[0])
-                else:
-                    out.append(len(p))
-            rows[key] = tuple(out)
-        return rows
+        return GroupStates.union(state) if state else None
 
 
-def _split_round_robin(chunks, n_workers):
-    return {w: [c for i, c in enumerate(chunks) if i % n_workers == w]
-            for w in range(n_workers)
-            if any(i % n_workers == w for i in range(len(chunks)))}
+def _round_robin(chunks, n_workers):
+    n = max(1, n_workers)
+    return {w: chunks[w::n] for w in range(min(n, len(chunks)))}
 
 
 def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001
@@ -725,22 +646,14 @@ def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001
             raise SchemaError(f"reduce: unknown dimension {d!r}")
     for agg in aggs:
         agg.validate(array.schema)
-    gla = _GroupByGLA(keep_dims, aggs)
+    gla = _GroupByGLA(keep_dims, aggs, array.schema)
     tree = tree or AggregationTree.balanced_binary(max(1, n_workers))
-    by_worker = _split_round_robin(array.chunks, max(1, n_workers))
-    if not by_worker:
-        rows = {}
-    else:
-        rows = run_gla_chunks(array.schema, by_worker, gla, tree).result
-
+    by_worker = _round_robin(array.chunks, n_workers)
+    groups = run_gla_chunks(array.schema, by_worker, gla, tree).result \
+        if by_worker else None
     if not keep_dims:
-        if not rows:
-            return {}
-        vals = rows.get((), None)
-        if vals is None:
-            return {}
-        out = {agg.out_name: v for agg, v in zip(aggs, vals) if v is not None}
-        return out
+        return {agg.out_name: v.tolist()[0]
+                for agg, v in zip(aggs, groups.values())} if groups else {}
 
     dims = tuple(d for d in array.schema.dims if d.name in keep_dims)
     dims = tuple(sorted(dims, key=lambda d: keep_dims.index(d.name)))
@@ -753,18 +666,13 @@ def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001
         attr_specs.append(AttributeSpec(agg.out_name, kind))
     schema = ArraySchema(f"{array.schema.name}_reduced", dims,
                          tuple(attr_specs), SPARSE)
-    keys = sorted(rows)
-    dim_cols = {d.name: np.array([k[i] for k in keys], dtype=np.int64)
-                for i, d in enumerate(dims)}
-    attr_cols = {}
-    for ai, (agg, spec) in enumerate(zip(aggs, attr_specs)):
-        vals = [rows[k][ai] for k in keys]
-        vals = [0 if v is None else v for v in vals]
-        attr_cols[spec.name] = np.array(vals, dtype=spec.dtype)
-    if keys:
-        chunk = make_sparse_chunk(schema, schema.box, dim_cols, attr_cols)
-        return Array(schema, [chunk])
-    return Array(schema, [])
+    if groups is None:
+        return Array(schema, [])
+    dim_cols = {d.name: groups.keys[:, i] for i, d in enumerate(dims)}
+    attr_cols = {spec.name: v.astype(spec.dtype)
+                 for spec, v in zip(attr_specs, groups.values())}
+    chunk = make_sparse_chunk(schema, schema.box, dim_cols, attr_cols)
+    return Array(schema, [chunk])
 
 
 from .stencil import apply_plus  # noqa: E402  (defined after its helpers)

@@ -97,136 +97,341 @@ class GLA:
 
 
 # ---------------------------------------------------------------------------
-# Built-in aggregates
+# The aggregate table
 # ---------------------------------------------------------------------------
 
 
-class SumGLA(GLA):
-    def __init__(self, attr):
+class _Entry:
+    """One aggregate kind over grouped states. ``AGGREGATES`` maps each
+    ``AggregateFn.kind`` to its entry; the built-in GLAs, REDUCE and
+    APPLY_PLUS compute every aggregate through this table.
+
+    An entry aggregates attribute ``attr`` of ``dtype``. ``init(n)`` is the
+    identity state of ``n`` groups. ``accumulate(state, groups, cells)``
+    folds cell ``i`` into group ``groups[i]`` and ``merge(state, groups,
+    other)`` folds group ``i`` of ``other`` into group ``groups[i]``; both
+    return the new state. ``finalize(state, counts)`` gives one value per
+    group. ``serialize``/``deserialize`` convert a state to its wire form
+    and back. Callers keep each group's cell count, which all aggregates
+    over the same cells share; a group without cells has no value (a
+    built-in GLA returns ``empty``). The dense window kernel folds grids of
+    cells with ``ufunc`` from ``identity``; of the entries without one,
+    ``dense`` ones need only the count.
+
+    Numeric rule: count and count_distinct are exact. min and max stay in
+    the input dtype and start from that dtype's identity (its integer
+    limits, or -inf/+inf), so int64 never passes through float64. sum and
+    avg accumulate in float64. Emptiness is decided by the count, never by
+    the value: -inf and +inf are ordinary values, and a NaN makes its
+    group's sum, avg, min and max NaN.
+    """
+
+    ufunc = None
+    dense = False
+    empty = None
+
+    def __init__(self, attr=None, dtype=None, gla=None):
         self.attr = attr
-
-    def init(self):
-        return [0.0, False]  # total, saw-any
-
-    def accumulate(self, state, cells):
-        col = cells.columns[self.attr]
-        if len(col):
-            state[0] += float(col.sum(dtype=np.float64))
-            state[1] = True
-
-    def local_merge(self, a, b):
-        return [a[0] + b[0], a[1] or b[1]]
-
-    def terminate(self, state):
-        return state[0] if state[1] else None
-
-
-class CountGLA(GLA):
-    def __init__(self, attr=None):
-        self.attr = attr
-
-    def init(self):
-        return [0]
-
-    def accumulate(self, state, cells):
-        state[0] += len(cells)
-
-    def local_merge(self, a, b):
-        return [a[0] + b[0]]
-
-    def terminate(self, state):
-        return state[0]
-
-    def local_terminate(self, state):
-        return state[0]
-
-
-class AvgGLA(GLA):
-    def __init__(self, attr):
-        self.attr = attr
-
-    def init(self):
-        return [0.0, 0]
-
-    def accumulate(self, state, cells):
-        col = cells.columns[self.attr]
-        state[0] += float(col.sum(dtype=np.float64))
-        state[1] += len(col)
-
-    def local_merge(self, a, b):
-        return [a[0] + b[0], a[1] + b[1]]
-
-    def terminate(self, state):
-        if state[1] == 0:
-            return None  # empty group: no row, not NaN
-        return state[0] / state[1]
-
-
-class MinGLA(GLA):
-    def __init__(self, attr):
-        self.attr = attr
-
-    def init(self):
-        return [None]
-
-    def accumulate(self, state, cells):
-        col = cells.columns[self.attr]
-        if len(col):
-            m = col.min()
-            state[0] = m if state[0] is None else min(state[0], m)
-
-    def local_merge(self, a, b):
-        vals = [v[0] for v in (a, b) if v[0] is not None]
-        return [min(vals)] if vals else [None]
-
-    def terminate(self, state):
-        return None if state[0] is None else state[0].item()
-
-
-class MaxGLA(GLA):
-    def __init__(self, attr):
-        self.attr = attr
-
-    def init(self):
-        return [None]
-
-    def accumulate(self, state, cells):
-        col = cells.columns[self.attr]
-        if len(col):
-            m = col.max()
-            state[0] = m if state[0] is None else max(state[0], m)
-
-    def local_merge(self, a, b):
-        vals = [v[0] for v in (a, b) if v[0] is not None]
-        return [max(vals)] if vals else [None]
-
-    def terminate(self, state):
-        return None if state[0] is None else state[0].item()
-
-
-class CountDistinctGLA(GLA):
-    """Exact distinct count; the state is a sorted value set."""
-
-    def __init__(self, attr):
-        self.attr = attr
-
-    def init(self):
-        return set()
-
-    def accumulate(self, state, cells):
-        state.update(np.unique(cells.columns[self.attr]).tolist())
-
-    def local_merge(self, a, b):
-        return a | b
+        self.dtype = dtype
+        self.gla = gla
 
     def serialize(self, state):
-        return pickle.dumps(sorted(state), protocol=pickle.HIGHEST_PROTOCOL)
+        return _pack(state)
 
-    def remote_merge(self, state, payload):
-        return state | set(pickle.loads(payload))
+    def deserialize(self, wire):
+        return _unpack(wire)
+
+
+def _pack(a):
+    """An array (or None) as dtype, shape and raw bytes: a few bytes of
+    header where a pickled ndarray takes about 150."""
+    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+
+def _unpack(wire):
+    return None if wire is None else \
+        np.frombuffer(wire[2], wire[0]).reshape(wire[1]).copy()
+
+
+class _Fold(_Entry):
+    """One slot per group, folded by ``ufunc``; ``exact`` keeps the input
+    dtype, otherwise the slots are float64."""
+
+    dense = True
+    exact = False
+
+    def init(self, n):
+        dtype = np.dtype(self.dtype if self.exact else np.float64)
+        return np.full(n, self.identity(dtype), dtype)
+
+    def accumulate(self, state, groups, cells):
+        return self.merge(state, groups, cells.columns[self.attr].astype(
+            state.dtype, copy=False))
+
+    def merge(self, state, groups, other):
+        self.ufunc.at(state, groups, other)
+        return state
+
+    def finalize(self, state, counts):
+        return state
+
+
+class _Sum(_Fold):
+    ufunc = np.add
+
+    def identity(self, dtype):
+        return 0
+
+
+class _Avg(_Sum):
+    def finalize(self, state, counts):
+        return state / np.maximum(counts, 1)
+
+
+class _Min(_Fold):
+    ufunc = np.minimum
+    exact = True
+
+    def identity(self, dtype):
+        return np.inf if dtype.kind == "f" else np.iinfo(dtype).max
+
+
+class _Max(_Fold):
+    ufunc = np.maximum
+    exact = True
+
+    def identity(self, dtype):
+        return -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
+
+
+class _Count(_Entry):
+    """Stateless: the value is the group's cell count."""
+
+    dense = True
+    empty = 0
+
+    def init(self, n):
+        return None
+
+    def accumulate(self, state, groups, cells):
+        return None
+
+    def merge(self, state, groups, other):
+        return None
+
+    def finalize(self, state, counts):
+        return counts
+
+
+class _CountDistinct(_Entry):
+    """The state is the sorted unique (group, value) rows, in the dtype
+    that holds both."""
+
+    empty = 0
+
+    def init(self, n):
+        return np.empty((0, 2), dtype=np.result_type(np.int64, self.dtype))
+
+    def accumulate(self, state, groups, cells):
+        return self._add(state, groups, cells.columns[self.attr])
+
+    def merge(self, state, groups, other):
+        return self._add(state, groups[other[:, 0].astype(np.intp)],
+                         other[:, 1])
+
+    def _add(self, state, groups, values):
+        rows = np.column_stack([groups, values]).astype(state.dtype,
+                                                         copy=False)
+        return _unique_rows(np.concatenate([state, rows]))[0]
+
+    def finalize(self, state, counts):
+        return np.bincount(state[:, 0].astype(np.intp), minlength=len(counts))
+
+
+class _User(_Entry):
+    """The wrapped GLA, run once per group on that group's cells."""
+
+    def init(self, n):
+        return [self.gla.init() for _ in range(n)]
+
+    def accumulate(self, state, groups, cells):
+        order = np.argsort(groups, kind="stable")
+        bounds = np.searchsorted(groups[order], np.arange(len(state) + 1))
+        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if hi > lo:
+                idx = order[lo:hi]
+                self.gla.accumulate(state[g], CellBatch(
+                    {d: c[idx] for d, c in cells.coords.items()},
+                    {a: c[idx] for a, c in cells.columns.items()},
+                    cells.chunk))
+        return state
+
+    def merge(self, state, groups, other):
+        for g, s in zip(groups.tolist(), other):
+            state[g] = self.gla.local_merge(state[g], s)
+        return state
+
+    def serialize(self, state):
+        return [self.gla.serialize(s) for s in state]
+
+    def deserialize(self, wire):
+        # By the GLA contract, remote_merge(init(), serialize(s)) equals s.
+        return [self.gla.remote_merge(self.gla.init(), p) for p in wire]
+
+    def finalize(self, state, counts):
+        return np.fromiter((self.gla.terminate(s) for s in state),
+                           dtype=object, count=len(state))
+
+
+AGGREGATES = {"sum": _Sum, "count": _Count, "avg": _Avg, "min": _Min,
+              "max": _Max, "count_distinct": _CountDistinct, "user": _User}
+
+
+def _unique_rows(rows):
+    """The sorted unique rows of a 2-D array, and the index of each input
+    row among them."""
+    if not rows.shape[1]:  # no key columns: one group
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+class GroupStates:
+    """The table states of several aggregates over keyed groups.
+
+    ``keys`` holds one int64 row per group, sorted and unique, or is None
+    where the groups form a grid; ``counts`` holds the cells each group has
+    seen, ``states`` one state per entry.
+    """
+
+    def __init__(self, entries, keys, counts, states):
+        self.entries = entries
+        self.keys = keys
+        self.counts = counts
+        self.states = states
+
+    @classmethod
+    def of_cells(cls, entries, keys, groups, cells):
+        """Fold cell ``i`` of ``cells`` into the group keyed by row
+        ``groups[i]`` of ``keys``."""
+        counts = np.bincount(groups, minlength=len(keys))
+        return cls(entries, keys, counts,
+                   [e.accumulate(e.init(len(keys)), groups, cells)
+                    for e in entries])
+
+    @classmethod
+    def union(cls, parts):
+        """Merge the groups of equal key across ``parts``."""
+        if len(parts) == 1:
+            return parts[0]
+        entries = parts[0].entries
+        keys, inverse = _unique_rows(np.concatenate([p.keys for p in parts]))
+        counts = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(counts, inverse, np.concatenate([p.counts for p in parts]))
+        where = np.split(inverse, np.cumsum([len(p.keys) for p in parts])[:-1])
+        states = []
+        for i, e in enumerate(entries):
+            s = e.init(len(keys))
+            for p, w in zip(parts, where):
+                s = e.merge(s, w, p.states[i])
+            states.append(s)
+        return cls(entries, keys, counts, states)
+
+    def values(self):
+        """One finalized value vector per entry."""
+        return [e.finalize(s, self.counts)
+                for e, s in zip(self.entries, self.states)]
+
+    @staticmethod
+    def dumps(parts) -> bytes:
+        """The wire form of a list of GroupStates: their union, with each
+        state serialized by its entry."""
+        wire = []
+        if parts:
+            u = GroupStates.union(parts)
+            wire.append((_pack(u.keys), _pack(u.counts),
+                         [e.serialize(s) for e, s in zip(u.entries, u.states)]))
+        return pickle.dumps(wire, protocol=pickle.HIGHEST_PROTOCOL)
+
+    @classmethod
+    def loads(cls, entries, payload):
+        """The list of GroupStates that ``dumps`` wrote."""
+        return [cls(entries, _unpack(keys), _unpack(counts),
+                    [e.deserialize(s) for e, s in zip(entries, states)])
+                for keys, counts, states in pickle.loads(payload)]
+
+
+# ---------------------------------------------------------------------------
+# Built-in aggregates
+# ---------------------------------------------------------------------------
+
+class _BuiltinGLA(GLA):
+    """One table entry over a single group. The state is typed by the first
+    cells the aggregate sees; nothing else depends on the dtype."""
+
+    kind = None
+
+    def __init__(self, attr=None):
+        self.attr = attr
+        self.entry = AGGREGATES[self.kind](attr)
+
+    def init(self):
+        return [0, None]  # cell count, entry state
+
+    def accumulate(self, state, cells):
+        n = len(cells)
+        if n:
+            if not state[0]:
+                dtype = cells.columns[self.attr].dtype if self.attr else None
+                state[1] = AGGREGATES[self.kind](self.attr, dtype).init(1)
+            state[0] += n
+            state[1] = self.entry.accumulate(
+                state[1], np.zeros(n, dtype=np.intp), cells)
+
+    def local_merge(self, a, b):
+        if not a[0]:
+            return b
+        if b[0]:
+            a[0] += b[0]
+            a[1] = self.entry.merge(a[1], np.zeros(1, dtype=np.intp), b[1])
+        return a
 
     def terminate(self, state):
-        return len(state)
+        if not state[0]:
+            return self.entry.empty
+        return self.entry.finalize(state[1], np.array([state[0]])).tolist()[0]
+
+
+class SumGLA(_BuiltinGLA):
+    kind = "sum"
+
+
+class CountGLA(_BuiltinGLA):
+    kind = "count"
+
+    def local_terminate(self, state):
+        return self.terminate(state)
+
+
+class AvgGLA(_BuiltinGLA):
+    kind = "avg"
+
+
+class MinGLA(_BuiltinGLA):
+    kind = "min"
+
+
+class MaxGLA(_BuiltinGLA):
+    kind = "max"
+
+
+class CountDistinctGLA(_BuiltinGLA):
+    kind = "count_distinct"
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ input order into a dense array.
 Two boundary strategies are implemented and must agree:
 
 * ``merge``: each chunk computes partial aggregate states for the origins
-  whose (array-clipped) window intersects it; origins fully covered by one
-  chunk are materialized immediately, the remaining boundary-band partials
-  are merged through the aggregate engine and finalized at the tree root.
+  whose (array-clipped) window intersects it; on the dense path, origins
+  fully covered by one chunk are materialized immediately. The remaining
+  partials are merged through the aggregate engine and finalized at the
+  tree root.
 * ``overlap``: each chunk pre-replicates the border layers it needs from
   its neighbors and computes every origin it owns locally, with no merging.
 
@@ -27,7 +28,7 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .gla import GLA, AggregationTree, run_gla_chunks
+from .gla import GLA, AggregationTree, CellBatch, GroupStates, run_gla_chunks
 from .model import (
     DENSE,
     SPARSE,
@@ -35,75 +36,9 @@ from .model import (
     AttributeSpec,
     Box,
     DimensionSpec,
-    KIND_FLOAT64,
-    KIND_INT64,
-    box_intersect,
     make_dense_chunk,
     make_sparse_chunk,
 )
-
-# ---------------------------------------------------------------------------
-# Partial aggregate states (one slot per aggregate, plus a shared count of
-# valid window cells)
-# ---------------------------------------------------------------------------
-
-
-def _new_partial(aggs):
-    parts = [0]  # valid window cell count
-    for agg in aggs:
-        if agg.kind in ("sum", "avg"):
-            parts.append(0.0)
-        elif agg.kind == "count":
-            parts.append(None)  # uses the shared count
-        elif agg.kind == "min":
-            parts.append(np.inf)
-        elif agg.kind == "max":
-            parts.append(-np.inf)
-        elif agg.kind == "count_distinct":
-            parts.append(set())
-        else:  # user
-            parts.append(agg.gla.init())
-    return parts
-
-
-def _merge_partial(aggs, a, b):
-    a[0] += b[0]
-    for i, agg in enumerate(aggs, start=1):
-        if agg.kind in ("sum", "avg"):
-            a[i] += b[i]
-        elif agg.kind == "min":
-            a[i] = min(a[i], b[i])
-        elif agg.kind == "max":
-            a[i] = max(a[i], b[i])
-        elif agg.kind == "count_distinct":
-            a[i] |= b[i]
-        elif agg.kind == "user":
-            a[i] = agg.gla.local_merge(a[i], b[i])
-    return a
-
-
-def _finalize_partial(aggs, p):
-    """Returns (values tuple, valid). Aggregates over an empty window are
-    invalid (count included, when the window itself is empty of cells)."""
-    count = p[0]
-    if count == 0:
-        return None, False
-    out = []
-    for i, agg in enumerate(aggs, start=1):
-        if agg.kind == "sum":
-            out.append(p[i])
-        elif agg.kind == "avg":
-            out.append(p[i] / count)
-        elif agg.kind == "count":
-            out.append(count)
-        elif agg.kind in ("min", "max"):
-            out.append(p[i])
-        elif agg.kind == "count_distinct":
-            out.append(len(p[i]))
-        else:
-            out.append(agg.gla.terminate(p[i]))
-    return tuple(out), True
-
 
 # ---------------------------------------------------------------------------
 # The stencil parameters shared by both strategies
@@ -116,6 +51,7 @@ class _StencilSpec:
         self.schema = array.schema
         self.shape = shape
         self.aggs = aggs
+        self.entries = [a.entry(self.schema) for a in aggs]
         self.abox = array.box
         nd = len(self.schema.dims)
         if shape.ndim != nd:
@@ -123,7 +59,7 @@ class _StencilSpec:
         for ext, dext in zip(shape.extents, self.abox.extents):
             if ext > dext:
                 raise DomainError("neighborhood shape larger than the array box")
-        self.slow = any(a.kind in ("count_distinct", "user") for a in aggs)
+        self.slow = not all(e.dense for e in self.entries)
 
         if origins == "valid":
             self.mode = "valid"
@@ -134,9 +70,8 @@ class _StencilSpec:
                             for lo, hi in self.abox.ranges()]
             else:
                 cells = array.cells()
-                self.ocoords = [cells.coords[d] for d in self.schema.dim_names]
-                if len(cells) == 0:
-                    self.ocoords = [np.empty(0, np.int64) for _ in range(nd)]
+                self.ocoords = np.array(
+                    [cells.coords[d] for d in self.schema.dim_names])
                 self.slow = True
         else:
             self.mode = "pattern"
@@ -160,7 +95,7 @@ class _StencilSpec:
                 self.slow = True
         if self.slow and self.dense_out:
             grids = np.meshgrid(*self.sel, indexing="ij")
-            self.ocoords = [g.ravel() for g in grids]
+            self.ocoords = np.array([g.ravel() for g in grids])
 
     # -- geometry helpers -------------------------------------------------
 
@@ -183,13 +118,22 @@ class _StencilSpec:
             int(np.searchsorted(sel, cbox.hi[d] - hi, "right"))
         return max(i0, p0), min(i1, p1)
 
-    def window_box(self, ocoords) -> Box | None:
-        lo = tuple(o + l for o, (l, _) in zip(ocoords, self.shape.ranges))
-        hi = tuple(o + h for o, (_, h) in zip(ocoords, self.shape.ranges))
-        try:
-            return box_intersect(Box(lo, hi), self.abox)
-        except DomainError:
-            return None
+    def near(self, box, reach=True):
+        """The origins (columns of ``ocoords``) whose window reaches box or,
+        without ``reach``, that lie in it."""
+        hit = np.ones(self.ocoords.shape[1], dtype=bool)
+        for o, (lo, hi), blo, bhi in zip(self.ocoords, self.shape.ranges,
+                                         box.lo, box.hi):
+            if not reach:
+                lo = hi = 0
+            hit &= (o + hi >= blo) & (o + lo <= bhi)
+        return self.ocoords[:, hit]
+
+    def out_keys(self, origins):
+        """Output cell coordinates of the origins, one row per origin."""
+        if self.dense_out:
+            origins = [np.searchsorted(s, o) for s, o in zip(self.sel, origins)]
+        return np.array(origins, dtype=np.int64).T
 
     # -- output assembly --------------------------------------------------
 
@@ -208,170 +152,65 @@ class _StencilSpec:
         return ArraySchema(f"{self.schema.name}_stencil", self.schema.dims,
                            tuple(attr_specs), self.schema.density)
 
-    def out_key_for_origin(self, ocoords):
-        if self.dense_out:
-            return tuple(int(np.searchsorted(s, c))
-                         for s, c in zip(self.sel, ocoords))
-        return tuple(int(c) for c in ocoords)
-
 
 # ---------------------------------------------------------------------------
-# Dense vectorized per-chunk kernel
+# The two window kernels
 # ---------------------------------------------------------------------------
 
 
-def _dense_chunk_contrib(spec: _StencilSpec, chunk):
-    """Per-chunk partial arrays over the touched origin sub-grid.
-
-    Returns (ranges, counts, acc) where ranges[d] = (p0, p1) into sel[d],
-    counts is the valid-window-cell count grid, and acc maps aggregate
-    index -> accumulation grid.
-    """
-    cbox = chunk.box
-    nd = len(spec.sel)
-    ranges = [spec.touched_range(d, cbox) for d in range(nd)]
-    if any(p1 <= p0 for p0, p1 in ranges):
-        return None
-    text = tuple(p1 - p0 for p0, p1 in ranges)
-    selt = [spec.sel[d][p0:p1] for d, (p0, p1) in enumerate(ranges)]
-    counts = np.zeros(text, dtype=np.int64)
-    acc = {}
-    needed = {}
-    for i, agg in enumerate(spec.aggs):
-        if agg.kind in ("sum", "avg"):
-            acc[i] = np.zeros(text, dtype=np.float64)
-        elif agg.kind == "min":
-            acc[i] = np.full(text, np.inf)
-        elif agg.kind == "max":
-            acc[i] = np.full(text, -np.inf)
-        if agg.attr:
-            needed.setdefault(agg.attr, None)
-    cext = cbox.extents
-    vgrid = chunk.validity.reshape(cext)
-    grids = {a: chunk.columns[a].reshape(cext) for a in needed}
-    offsets = itertools.product(*[range(l, h + 1) for l, h in spec.shape.ranges])
-    for off in offsets:
-        src_idx = []
-        dst = []
-        empty = False
-        for d in range(nd):
-            q0 = int(np.searchsorted(selt[d], cbox.lo[d] - off[d], "left"))
-            q1 = int(np.searchsorted(selt[d], cbox.hi[d] - off[d], "right"))
+def _window_grid(spec: _StencilSpec, box: Box, valid, grids, sel):
+    """Dense window kernel: the cell counts and the table states of every
+    aggregate over the origin grid ``sel`` (one sorted coordinate vector per
+    dimension), from the cells of ``box`` whose validity and value grids
+    are ``valid`` and ``grids``. Origins whose window leaves the box get
+    only the cells inside it."""
+    extents = tuple(len(s) for s in sel)
+    counts = np.zeros(extents, dtype=np.int64)
+    states = [e.init(counts.size) for e in spec.entries]
+    states = [s if s is None else s.reshape(extents) for s in states]
+    folds = [(e.ufunc, s, grids[e.attr], e.identity(s.dtype))
+             for e, s in zip(spec.entries, states) if e.ufunc]
+    for off in itertools.product(*[range(l, h + 1) for l, h in spec.shape.ranges]):
+        src, dst = [], []
+        for s, o, lo, hi in zip(sel, off, box.lo, box.hi):
+            q0 = int(np.searchsorted(s, lo - o, "left"))
+            q1 = int(np.searchsorted(s, hi - o, "right"))
             if q1 <= q0:
-                empty = True
                 break
-            src_idx.append(selt[d][q0:q1] + off[d] - cbox.lo[d])
+            src.append(s[q0:q1] + (o - lo))
             dst.append(slice(q0, q1))
-        if empty:
-            continue
-        ix = np.ix_(*src_idx)
-        dst = tuple(dst)
-        vm = vgrid[ix]
-        counts[dst] += vm
-        for i, agg in enumerate(spec.aggs):
-            if agg.kind in ("sum", "avg"):
-                vals = grids[agg.attr][ix]
-                acc[i][dst] += np.where(vm, vals, 0).astype(np.float64)
-            elif agg.kind == "min":
-                vals = grids[agg.attr][ix].astype(np.float64)
-                np.minimum(acc[i][dst], np.where(vm, vals, np.inf), out=acc[i][dst])
-            elif agg.kind == "max":
-                vals = grids[agg.attr][ix].astype(np.float64)
-                np.maximum(acc[i][dst], np.where(vm, vals, -np.inf), out=acc[i][dst])
-    return ranges, counts, acc
+        else:
+            ix = np.ix_(*src)
+            dst = tuple(dst)
+            vm = valid[ix]
+            counts[dst] += vm
+            for ufunc, acc, grid, identity in folds:
+                view = acc[dst]
+                ufunc(view, np.where(vm, grid[ix], identity), out=view)
+    return counts, states
 
 
-def _split_interior(spec, chunk, ranges, counts, acc):
-    """Separate the contribution into an interior block (complete in this
-    chunk) and boundary partial dict entries."""
-    nd = len(ranges)
-    interior = [spec.interior_range(d, chunk.box, p0, p1)
-                for d, (p0, p1) in enumerate(ranges)]
-    block = None
-    if all(i1 > i0 for i0, i1 in interior):
-        local = tuple(slice(i0 - p0, i1 - p0)
-                      for (i0, i1), (p0, _) in zip(interior, ranges))
-        block = {
-            "base": tuple(i0 for i0, _ in interior),
-            "counts": counts[local],
-            "acc": {i: a[local] for i, a in acc.items()},
-        }
-    # Boundary = touched minus interior, entry by entry.
-    boundary = {}
-    mask = np.ones(counts.shape, dtype=bool)
-    if block is not None:
-        local = tuple(slice(i0 - p0, i1 - p0)
-                      for (i0, i1), (p0, _) in zip(interior, ranges))
-        mask[local] = False
-    idxs = np.argwhere(mask)
-    for idx in idxs:
-        idx = tuple(int(v) for v in idx)
-        if counts[idx] == 0 and not any(
-                spec.aggs[i].kind in ("min", "max") and np.isfinite(acc[i][idx])
-                for i in acc):
-            continue
-        key = tuple(i + p0 for i, (p0, _) in zip(idx, ranges))
-        p = _new_partial(spec.aggs)
-        p[0] = int(counts[idx])
-        for i, agg in enumerate(spec.aggs):
-            if agg.kind in ("sum", "avg", "min", "max"):
-                p[i + 1] = float(acc[i][idx])
-        boundary[key] = p
-    return block, boundary
+def _window_cells(spec: _StencilSpec, cells: CellBatch, origins):
+    """Per-origin kernel: for each origin (a column of ``origins``), mask
+    the cells in its window and fold them into that origin's table states,
+    keyed by its output coordinates."""
+    coords = [cells.coords[d] for d in spec.schema.dim_names]
+    members = []
+    for origin in origins.T:
+        mask = np.ones(len(cells), dtype=bool)
+        for c, o, (lo, hi) in zip(coords, origin, spec.shape.ranges):
+            mask &= (c >= o + lo) & (c <= o + hi)
+        members.append(np.nonzero(mask)[0])
+    idx = np.concatenate(members) if members else np.empty(0, dtype=np.intp)
+    groups = np.repeat(np.arange(len(members)), [len(m) for m in members])
+    sub = CellBatch({d: c[idx] for d, c in cells.coords.items()},
+                    {a: c[idx] for a, c in cells.columns.items()}, cells.chunk)
+    return GroupStates.of_cells(spec.entries, spec.out_keys(origins), groups,
+                                sub)
 
 
-# ---------------------------------------------------------------------------
-# Slow generic per-chunk kernel (sparse inputs, distinct/user aggregates)
-# ---------------------------------------------------------------------------
-
-
-def _slow_chunk_contrib(spec: _StencilSpec, batch):
-    """Partial dict for every origin whose window intersects this chunk,
-    plus the set of origins complete within it."""
-    cbox = batch.chunk.box
-    nd = len(spec.ocoords)
-    cand = np.ones(len(spec.ocoords[0]), dtype=bool)
-    for d in range(nd):
-        lo, hi = spec.shape.ranges[d]
-        cand &= (spec.ocoords[d] + hi >= cbox.lo[d]) & \
-                (spec.ocoords[d] + lo <= cbox.hi[d])
-    partials = {}
-    complete = set()
-    dim_names = spec.schema.dim_names
-    for oi in np.nonzero(cand)[0]:
-        oc = tuple(int(spec.ocoords[d][oi]) for d in range(nd))
-        wbox = spec.window_box(oc)
-        if wbox is None:
-            continue
-        mask = np.ones(len(batch), dtype=bool)
-        for d, name in enumerate(dim_names):
-            mask &= (batch.coords[name] >= wbox.lo[d]) & \
-                    (batch.coords[name] <= wbox.hi[d])
-        key = spec.out_key_for_origin(oc)
-        p = partials.get(key)
-        if p is None:
-            p = partials[key] = _new_partial(spec.aggs)
-        n = int(mask.sum())
-        p[0] += n
-        for i, agg in enumerate(spec.aggs, start=1):
-            iagg = spec.aggs[i - 1]
-            if iagg.kind in ("sum", "avg"):
-                p[i] += float(batch.columns[iagg.attr][mask].sum(dtype=np.float64))
-            elif iagg.kind == "min" and n:
-                p[i] = min(p[i], float(batch.columns[iagg.attr][mask].min()))
-            elif iagg.kind == "max" and n:
-                p[i] = max(p[i], float(batch.columns[iagg.attr][mask].max()))
-            elif iagg.kind == "count_distinct":
-                p[i].update(np.unique(batch.columns[iagg.attr][mask]).tolist())
-            elif iagg.kind == "user":
-                sub = type(batch)(
-                    {d: batch.coords[d][mask] for d in batch.coords},
-                    {a: batch.columns[a][mask] for a in batch.columns},
-                    batch.chunk)
-                iagg.gla.accumulate(p[i], sub)
-        if cbox.contains_box(wbox):
-            complete.add(key)
-    return partials, complete
+def _take(states, index):
+    return [s if s is None else s[index] for s in states]
 
 
 # ---------------------------------------------------------------------------
@@ -380,60 +219,69 @@ def _slow_chunk_contrib(spec: _StencilSpec, batch):
 
 
 class _ApplyPlusGLA(GLA):
+    """On the dense path, a block of the windows that lie inside one chunk
+    is emitted as that chunk is folded. The other windows' states, keyed by
+    origin, are merged up the aggregation tree and finalized at its root."""
+
     def __init__(self, spec: _StencilSpec):
         self.spec = spec
 
     def init(self):
-        return {"pending": [], "boundary": {}}
+        return {"pending": [], "boundary": []}  # boundary: GroupStates parts
 
     def accumulate(self, state, cells):
         spec = self.spec
-        chunk = cells.chunk
-        if spec.slow or chunk.layout == SPARSE:
-            partials, complete = _slow_chunk_contrib(spec, cells)
-            for key in complete:
-                vals, ok = _finalize_partial(spec.aggs, partials.pop(key))
-                if ok:
-                    state["pending"].append(("row", key, vals))
-            for key, p in partials.items():
-                if key in state["boundary"]:
-                    _merge_partial(spec.aggs, state["boundary"][key], p)
-                else:
-                    state["boundary"][key] = p
+        cbox = cells.chunk.box
+        if spec.slow:
+            state["boundary"].append(
+                _window_cells(spec, cells, spec.near(cbox)))
             return
-        contrib = _dense_chunk_contrib(spec, chunk)
-        if contrib is None:
+        ranges = [spec.touched_range(d, cbox) for d in range(cbox.ndim)]
+        if any(p1 <= p0 for p0, p1 in ranges):
             return
-        ranges, counts, acc = contrib
-        block, boundary = _split_interior(spec, chunk, ranges, counts, acc)
-        if block is not None:
-            state["pending"].append(("block", block))
-        for key, p in boundary.items():
-            if key in state["boundary"]:
-                _merge_partial(spec.aggs, state["boundary"][key], p)
-            else:
-                state["boundary"][key] = p
+        cext = cbox.extents
+        counts, states = _window_grid(
+            spec, cbox, cells.chunk.validity.reshape(cext),
+            {a: c.reshape(cext) for a, c in cells.chunk.columns.items()},
+            [s[p0:p1] for s, (p0, p1) in zip(spec.sel, ranges)])
+        # Origins whose clipped window lies inside the chunk are done; the
+        # rest of the touched origins become keyed boundary states.
+        interior = [spec.interior_range(d, cbox, p0, p1)
+                    for d, (p0, p1) in enumerate(ranges)]
+        boundary = counts > 0
+        if all(i1 > i0 for i0, i1 in interior):
+            local = tuple(slice(i0 - p0, i1 - p0)
+                          for (i0, i1), (p0, _) in zip(interior, ranges))
+            state["pending"].append((tuple(i0 for i0, _ in interior),
+                                     GroupStates(spec.entries, None,
+                                                 counts[local],
+                                                 _take(states, local))))
+            boundary[local] = False
+        keys = np.argwhere(boundary) + [p0 for p0, _ in ranges]
+        state["boundary"].append(GroupStates(
+            spec.entries, keys, counts[boundary], _take(states, boundary)))
 
     def end_chunk(self, state):
-        rows = state["pending"]
-        state["pending"] = []
+        rows, state["pending"] = state["pending"], []
         return rows
 
     def local_merge(self, a, b):
-        for key, p in b["boundary"].items():
-            if key in a["boundary"]:
-                _merge_partial(self.spec.aggs, a["boundary"][key], p)
-            else:
-                a["boundary"][key] = p
         a["pending"].extend(b["pending"])
+        a["boundary"].extend(b["boundary"])
         return a
+
+    # end_chunk leaves nothing pending, so only the boundary travels.
+    def serialize(self, state):
+        return GroupStates.dumps(state["boundary"])
+
+    def remote_merge(self, state, payload):
+        state["boundary"] += GroupStates.loads(self.spec.entries, payload)
+        return state
 
     def terminate(self, state):
         rows = list(state["pending"])
-        for key, p in state["boundary"].items():
-            vals, ok = _finalize_partial(self.spec.aggs, p)
-            if ok:
-                rows.append(("row", key, vals))
+        if state["boundary"]:
+            rows.append((None, GroupStates.union(state["boundary"])))
         return rows
 
 
@@ -443,122 +291,31 @@ class _ApplyPlusGLA(GLA):
 
 
 def _overlap_chunk(spec: _StencilSpec, chunk):
-    from .algebra import gather_region
-    from .gla import cell_batch
-
-    rows = []
+    """Rows for the origins this chunk owns (those in its box), computed
+    from the chunk's box expanded by the shape: the replicated region."""
     cbox = chunk.box
-    nd = cbox.ndim
-    if spec.slow or chunk.layout == SPARSE:
-        # Origins owned by this chunk are those whose origin cell lies in
-        # its box (pattern/dense) or its own cells (sparse valid mode).
-        own = np.ones(len(spec.ocoords[0]), dtype=bool)
-        for d in range(nd):
-            own &= (spec.ocoords[d] >= cbox.lo[d]) & (spec.ocoords[d] <= cbox.hi[d])
-        if spec.mode == "valid" and spec.schema.density == SPARSE:
-            # Ownership by cell identity: origins that are cells of this chunk.
-            batch = cell_batch(chunk, spec.schema)
-            keys = set(zip(*(batch.coords[n].tolist()
-                             for n in spec.schema.dim_names)))
-            own &= np.array([tuple(int(spec.ocoords[d][i]) for d in range(nd))
-                             in keys
-                             for i in range(len(spec.ocoords[0]))], dtype=bool) \
-                if len(spec.ocoords[0]) else own
-        idxs = np.nonzero(own)[0]
-        if len(idxs) == 0:
-            return rows
-        # Replicated region: chunk box expanded by the shape extents.
-        exp = _expanded_box(spec, cbox)
-        region = _region_cells(spec, exp)
-        for oi in idxs:
-            oc = tuple(int(spec.ocoords[d][oi]) for d in range(nd))
-            wbox = spec.window_box(oc)
-            p = _new_partial(spec.aggs)
-            if wbox is not None:
-                mask = np.ones(region["count"], dtype=bool)
-                for d, name in enumerate(spec.schema.dim_names):
-                    mask &= (region["coords"][name] >= wbox.lo[d]) & \
-                            (region["coords"][name] <= wbox.hi[d])
-                n = int(mask.sum())
-                p[0] = n
-                for i, agg in enumerate(spec.aggs, start=1):
-                    iagg = spec.aggs[i - 1]
-                    col = region["columns"].get(iagg.attr) if iagg.attr else None
-                    if iagg.kind in ("sum", "avg"):
-                        p[i] = float(col[mask].sum(dtype=np.float64))
-                    elif iagg.kind == "min" and n:
-                        p[i] = float(col[mask].min())
-                    elif iagg.kind == "max" and n:
-                        p[i] = float(col[mask].max())
-                    elif iagg.kind == "count_distinct":
-                        p[i] = set(np.unique(col[mask]).tolist())
-                    elif iagg.kind == "user":
-                        from .gla import CellBatch
-                        sub = CellBatch(
-                            {d2: region["coords"][d2][mask]
-                             for d2 in region["coords"]},
-                            {a: c[mask] for a, c in region["columns"].items()},
-                            chunk)
-                        iagg.gla.accumulate(p[i], sub)
-            vals, ok = _finalize_partial(spec.aggs, p)
-            if ok:
-                rows.append(("row", spec.out_key_for_origin(oc), vals))
-        return rows
-
-    # Dense vectorized local computation over the replicated region.
-    ranges = [( int(np.searchsorted(spec.sel[d], cbox.lo[d], "left")),
-                int(np.searchsorted(spec.sel[d], cbox.hi[d], "right")))
-              for d in range(nd)]
-    if any(p1 <= p0 for p0, p1 in ranges):
-        return rows
     exp = _expanded_box(spec, cbox)
+    if spec.slow:
+        origins = spec.near(cbox, reach=False)
+        if not origins.shape[1]:
+            return []
+        from .algebra import Array, rebox
+        region = rebox(Array(spec.schema, spec.array.chunks), exp).cells()
+        region.chunk = chunk
+        return [(None, _window_cells(spec, region, origins))]
+    from .algebra import gather_region
+    ranges = [(int(np.searchsorted(s, lo, "left")),
+               int(np.searchsorted(s, hi, "right")))
+              for s, lo, hi in zip(spec.sel, cbox.lo, cbox.hi)]
+    if any(p1 <= p0 for p0, p1 in ranges):
+        return []
     grids, valid = gather_region(spec.array, exp,
                                  [a.attr for a in spec.aggs if a.attr])
-    selt = [spec.sel[d][p0:p1] for d, (p0, p1) in enumerate(ranges)]
-    text = tuple(p1 - p0 for p0, p1 in ranges)
-    counts = np.zeros(text, dtype=np.int64)
-    acc = {}
-    for i, agg in enumerate(spec.aggs):
-        if agg.kind in ("sum", "avg"):
-            acc[i] = np.zeros(text, dtype=np.float64)
-        elif agg.kind == "min":
-            acc[i] = np.full(text, np.inf)
-        elif agg.kind == "max":
-            acc[i] = np.full(text, -np.inf)
-    for off in itertools.product(*[range(l, h + 1) for l, h in spec.shape.ranges]):
-        src_idx = []
-        dst = []
-        empty = False
-        for d in range(nd):
-            coords = selt[d] + off[d]
-            inside = (coords >= exp.lo[d]) & (coords <= exp.hi[d])
-            qs = np.nonzero(inside)[0]
-            if len(qs) == 0:
-                empty = True
-                break
-            src_idx.append(coords[qs] - exp.lo[d])
-            dst.append(qs)
-        if empty:
-            continue
-        ix = np.ix_(*src_idx)
-        dstix = np.ix_(*dst)
-        vm = valid[ix]
-        counts[dstix] += vm
-        for i, agg in enumerate(spec.aggs):
-            if agg.kind in ("sum", "avg"):
-                acc[i][dstix] += np.where(vm, grids[agg.attr][ix], 0).astype(np.float64)
-            elif agg.kind == "min":
-                acc[i][dstix] = np.minimum(
-                    acc[i][dstix],
-                    np.where(vm, grids[agg.attr][ix].astype(np.float64), np.inf))
-            elif agg.kind == "max":
-                acc[i][dstix] = np.maximum(
-                    acc[i][dstix],
-                    np.where(vm, grids[agg.attr][ix].astype(np.float64), -np.inf))
-    block = {"base": tuple(p0 for p0, _ in ranges), "counts": counts,
-             "acc": acc}
-    rows.append(("block", block))
-    return rows
+    counts, states = _window_grid(
+        spec, exp, valid, grids,
+        [s[p0:p1] for s, (p0, p1) in zip(spec.sel, ranges)])
+    return [(tuple(p0 for p0, _ in ranges),
+             GroupStates(spec.entries, None, counts, states))]
 
 
 def _expanded_box(spec, cbox: Box) -> Box:
@@ -569,89 +326,53 @@ def _expanded_box(spec, cbox: Box) -> Box:
     return Box(lo, hi)
 
 
-def _region_cells(spec, box: Box):
-    """All valid cells of the array inside ``box`` (replication gather)."""
-    from .algebra import Array, rebox
-    sub = rebox(Array(spec.schema, spec.array.chunks), box)
-    cells = sub.cells()
-    return {"coords": cells.coords, "columns": cells.columns,
-            "count": len(cells)}
-
-
 # ---------------------------------------------------------------------------
 # Assembly and the public operator
 # ---------------------------------------------------------------------------
 
 
 def _assemble(spec: _StencilSpec, rows):
+    """The output array from rows ``(base, GroupStates)``: with base None
+    the states are keyed by output coordinates; otherwise their counts and
+    states are grids over a block of the origin grid starting at ``base``.
+    Origins with no cells in their window have no output."""
     schema = spec.out_schema()
-    aggs = spec.aggs
+    names = [a.out_name for a in spec.aggs]
+    # (output index, counts, one value array per aggregate)
+    parts = [(groups.keys if base is None else tuple(
+        slice(b, b + n) for b, n in zip(base, groups.counts.shape)),
+        groups.counts, groups.values()) for base, groups in rows]
+    from .algebra import Array, gather_region
     if spec.dense_out:
         extents = schema.box.extents
         valid = np.zeros(extents, dtype=bool)
-        grids = {a.out_name: np.zeros(extents, dtype=schema.attr(a.out_name).dtype)
-                 for a in aggs}
-        for row in rows:
-            if row[0] == "block":
-                blk = row[1]
-                sl = tuple(slice(b, b + c)
-                           for b, c in zip(blk["base"], blk["counts"].shape))
-                cnt = blk["counts"]
-                ok = cnt > 0
-                valid[sl] |= ok
-                for i, agg in enumerate(aggs):
-                    g = grids[agg.out_name][sl]
-                    if agg.kind == "count":
-                        np.copyto(g, cnt, where=ok)
-                    elif agg.kind == "avg":
-                        with np.errstate(invalid="ignore", divide="ignore"):
-                            np.copyto(g, blk["acc"][i] / cnt, where=ok)
-                    else:  # sum / min / max
-                        vals = np.where(ok, blk["acc"][i], 0).astype(g.dtype)
-                        np.copyto(g, vals, where=ok)
-            else:
-                _, key, vals = row
-                valid[key] = True
-                for agg, v in zip(aggs, vals):
-                    grids[agg.out_name][key] = v
+        grids = [np.zeros(extents, dtype=schema.attr(n).dtype) for n in names]
+        for index, counts, values in parts:
+            if not isinstance(index, tuple):
+                index = tuple(index.T)
+            ok = counts > 0
+            valid[index] |= ok
+            for grid, v in zip(grids, values):
+                grid[index] = np.where(ok, v, grid[index])
         if spec.mode == "valid":
             # Outputs exist only at valid origin cells.
-            _, origin_valid = _activation(spec)
-            valid &= origin_valid
-        data = {a.out_name: grids[a.out_name].ravel() for a in aggs}
+            valid &= gather_region(spec.array, spec.abox, [])[1]
+        data = {n: g.ravel() for n, g in zip(names, grids)}
         chunk = make_dense_chunk(schema, schema.box, data, valid.ravel())
-        from .algebra import Array
         return Array(schema, [chunk])
 
     # Sparse output: one cell per origin with a non-empty window.
-    keyset = {}
-    for row in rows:
-        assert row[0] == "row"
-        keyset[row[1]] = row[2]
-    keys = sorted(keyset)
-    dim_cols = {d: np.array([k[i] for k in keys], dtype=np.int64)
-                for i, d in enumerate(schema.dim_names)}
-    attr_cols = {}
-    for i, agg in enumerate(aggs):
-        spec_a = schema.attr(agg.out_name)
-        attr_cols[agg.out_name] = np.array([keyset[k][i] for k in keys],
-                                           dtype=spec_a.dtype)
-    from .algebra import Array
-    if keys:
-        chunk = make_sparse_chunk(schema, schema.box, dim_cols, attr_cols)
-        return Array(schema, [chunk])
-    return Array(schema, [])
-
-
-def _activation(spec):
-    """Validity grid of origin cells for valid-origin dense mode."""
-    extents = spec.abox.extents
-    valid = np.zeros(extents, dtype=bool)
-    for chunk in spec.array.chunks:
-        sl = tuple(slice(l - b, h - b + 1)
-                   for l, h, b in zip(chunk.box.lo, chunk.box.hi, spec.abox.lo))
-        valid[sl] |= chunk.validity.reshape(chunk.box.extents)
-    return None, valid
+    ok = np.concatenate([c for _, c, _ in parts]) > 0 if parts else \
+        np.zeros(0, dtype=bool)
+    if not ok.any():
+        return Array(schema, [])
+    keys = np.concatenate([k for k, _, _ in parts])[ok]
+    order = np.lexsort(keys.T[::-1])
+    dim_cols = {d: keys[order, i] for i, d in enumerate(schema.dim_names)}
+    attr_cols = {n: np.concatenate([v[i] for _, _, v in parts])[ok][order]
+                 .astype(schema.attr(n).dtype) for i, n in enumerate(names)}
+    chunk = make_sparse_chunk(schema, schema.box, dim_cols, attr_cols)
+    return Array(schema, [chunk])
 
 
 def apply_plus(array, shape, origins, agg, boundary: str = "merge",
@@ -663,7 +384,7 @@ def apply_plus(array, shape, origins, agg, boundary: str = "merge",
     name -> bit pattern. ``agg`` is one AggregateFn or a list of them;
     ``boundary`` selects the merge or overlap strategy (identical results).
     """
-    from .algebra import _normalize_aggs, _split_round_robin
+    from .algebra import _normalize_aggs, _round_robin
 
     aggs = _normalize_aggs(agg)
     for a in aggs:
@@ -676,12 +397,10 @@ def apply_plus(array, shape, origins, agg, boundary: str = "merge",
         return _assemble(spec, rows)
     if boundary != "merge":
         raise ConfigError(f"unknown boundary strategy {boundary!r}")
-    gla = _ApplyPlusGLA(spec)
-    by_worker = _split_round_robin(array.chunks, max(1, n_workers))
+    by_worker = _round_robin(array.chunks, n_workers)
     if not by_worker:
         return _assemble(spec, [])
     tree = tree or AggregationTree.balanced_binary(max(1, n_workers))
-    run = run_gla_chunks(array.schema, by_worker, gla, tree,
+    run = run_gla_chunks(array.schema, by_worker, _ApplyPlusGLA(spec), tree,
                          threads_per_worker=threads_per_worker)
-    rows = list(run.materialized) + list(run.result)
-    return _assemble(spec, rows)
+    return _assemble(spec, run.materialized + run.result)

@@ -1,5 +1,5 @@
-"""On-disk chunk format, chunking strategies, zone-map pruning, worker
-placement, and the asynchronous push-based chunk scan.
+"""On-disk chunk format, chunking strategies, zone-map pruning, and worker
+placement.
 
 One file per chunk under ``<data_dir>/<array>/<chunk_id>.chk``; each array
 also has a text manifest listing its schema and chunk index. All reads go
@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +27,6 @@ from .model import (
     DimensionSpec,
     KIND_FLOAT64,
     KIND_INT64,
-    box_intersect,
-    compute_zone_meta,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -130,15 +127,6 @@ def _sparse_subset(schema, data, mask):
     attrs = {a.name: np.asarray(data[a.name], dtype=a.dtype)[mask]
              for a in schema.attrs}
     return dims, attrs
-
-
-def _bounding_box(schema, dims, fallback: Box) -> Box:
-    n = len(next(iter(dims.values()))) if dims else 0
-    if n == 0:
-        return fallback
-    lo = tuple(int(dims[d.name].min()) for d in schema.dims)
-    hi = tuple(int(dims[d.name].max()) for d in schema.dims)
-    return Box(lo, hi)
 
 
 def _chunk_sparse_regular(schema, data, shape, box):
@@ -485,7 +473,7 @@ def prune(entry: CatalogEntry, query_box: Box | None = None,
 
 
 class Catalog:
-    """Directory-backed array catalog with chunk placement and scan."""
+    """Directory-backed array catalog with chunk placement."""
 
     def __init__(self, data_dir, n_workers: int = 1,
                  placement: str = "round_robin", seed: int = 0):
@@ -620,26 +608,3 @@ class Catalog:
 
     def prune(self, name: str, query_box=None, predicate=None) -> list:
         return prune(self.entry(name), query_box, predicate)
-
-    def scan(self, name: str, chunk_ids, sink, columns=None, max_inflight: int = 4):
-        """Deliver each named chunk to ``sink(chunk, worker_id)`` exactly
-        once, from up to ``max_inflight`` concurrent readers. Order is
-        unspecified; a sink failure aborts the scan and propagates."""
-        entry = self.entry(name)
-        refs = [entry.ref(cid) for cid in chunk_ids]
-        if max_inflight <= 1:
-            for ref in refs:
-                chunk = read_chunk(ref.locator, entry.schema, columns=columns,
-                                   chunk_id=ref.chunk_id, io_stats=self.io)
-                sink(chunk, ref.worker_id)
-            return
-
-        def job(ref):
-            chunk = read_chunk(ref.locator, entry.schema, columns=columns,
-                               chunk_id=ref.chunk_id, io_stats=self.io)
-            sink(chunk, ref.worker_id)
-
-        with ThreadPoolExecutor(max_workers=max_inflight) as pool:
-            futures = [pool.submit(job, ref) for ref in refs]
-            for fut in futures:
-                fut.result()

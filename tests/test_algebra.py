@@ -10,6 +10,7 @@ from arraybench import (
     AttributeSpec,
     Box,
     Catalog,
+    CountGLA,
     DimensionSpec,
     NeighborhoodShape,
     Predicate,
@@ -26,6 +27,7 @@ from arraybench import (
     reduce,
     shift,
     sparse_array,
+    SumGLA,
 )
 from arraybench import filter as filter_op
 from arraybench.errors import (
@@ -34,7 +36,15 @@ from arraybench.errors import (
     SchemaError,
     ShapeError,
 )
-from tests.conftest import array_cells_sorted, make_dense_2d, make_sparse_2d
+from tests.conftest import (
+    EXTREME_CASES,
+    array_cells_sorted,
+    assert_aggregate_equal,
+    make_dense_2d,
+    make_extreme_2d,
+    make_sparse_2d,
+    numpy_aggregate,
+)
 
 
 class TestMaterialize:
@@ -333,6 +343,36 @@ class TestReduce:
         expected = {x: float(grids["a0"][x][valid[x]].sum())
                     for x in range(8) if valid[x].any()}
         assert got == expected
+
+    @pytest.mark.parametrize("kind, attr", EXTREME_CASES)
+    def test_extremes_match_numpy(self, rng, kind, attr):
+        """Exact min/max of 2**53 + 1 and of -inf/+inf, scalar and grouped."""
+        arr, grids, valid = make_extreme_2d(rng)
+        agg = AggregateFn(kind, None if kind == "count" else attr, "r")
+        scalar = reduce(arr, [], agg, n_workers=3)
+        assert_aggregate_equal(kind, scalar["r"],
+                               numpy_aggregate(kind, grids[attr][valid]))
+        rows = array_cells_sorted(reduce(arr, ["x"], agg, n_workers=3))
+        assert [r[0] for r in rows] == \
+            [x for x in range(valid.shape[0]) if valid[x].any()]
+        for x, got in rows:
+            assert_aggregate_equal(
+                kind, got, numpy_aggregate(kind, grids[attr][x][valid[x]]))
+
+    @pytest.mark.parametrize("keep", [[], ["x"]])
+    def test_user_aggregates_run_once_per_group(self, rng, keep):
+        arr, grids, valid = make_dense_2d(rng, 8, 6, chunk_shape=(3, 3))
+        out = reduce(arr, keep,
+                     [AggregateFn("user", "a0", "s", gla=SumGLA("a0")),
+                      AggregateFn("user", None, "n", gla=CountGLA())],
+                     n_workers=3)
+        if not keep:
+            assert out == {"s": float(grids["a0"][valid].sum()),
+                           "n": int(valid.sum())}
+            return
+        assert array_cells_sorted(out) == [
+            (x, float(grids["a0"][x][valid[x]].sum()), valid[x].sum())
+            for x in range(8) if valid[x].any()]
 
     def test_worker_count_invariance(self, rng):
         arr, _, _ = make_dense_2d(rng, 12, 12, chunk_shape=(4, 4))

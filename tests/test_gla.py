@@ -25,6 +25,7 @@ from arraybench import (
 )
 from arraybench.errors import ConfigError, ContractError
 from arraybench.gla import merge_traffic_bytes, reset_merge_traffic
+from tests.conftest import KINDS, make_extreme_2d
 from tests.test_storage import dense_schema, random_dense_chunk
 
 ALL_AGGS = [lambda: SumGLA("v"), lambda: CountGLA(), lambda: AvgGLA("v"),
@@ -37,18 +38,25 @@ def make_chunks(rng, n=7):
     return schema, [random_dense_chunk(rng) for _ in range(n)]
 
 
-def oracle_values(schema, chunks):
+def oracle_values(schema, chunks, attr="v"):
     """Reference values computed with plain numpy over all valid cells."""
-    cols = [cell_batch(c, schema).columns["v"] for c in chunks]
+    cols = [cell_batch(c, schema).columns[attr] for c in chunks]
     v = np.concatenate(cols) if cols else np.empty(0, np.int64)
     return {
         "sum": float(v.sum()) if len(v) else None,
         "count": sum(c.valid_count for c in chunks),
         "avg": float(v.mean()) if len(v) else None,
-        "min": int(v.min()) if len(v) else None,
-        "max": int(v.max()) if len(v) else None,
+        "min": v.min().item() if len(v) else None,
+        "max": v.max().item() if len(v) else None,
         "count_distinct": len(np.unique(v)),
     }
+
+
+# The random "v" cases, then the extremes of make_extreme_2d: 2**53 + 1 in
+# the int64 a0, -inf and +inf in the float64 a1.
+ORACLE_CASES = [pytest.param(kind, "v", id=kind) for kind in KINDS] + \
+    [pytest.param(kind, attr, id=f"{attr}-{kind}")
+     for attr in ("a0", "a1") for kind in KINDS]
 
 
 class TestCellBatch:
@@ -73,19 +81,23 @@ class TestCellBatch:
 
 
 class TestBuiltinsMatchOracle:
-    @pytest.mark.parametrize("kind", ["sum", "count", "avg", "min", "max",
-                                      "count_distinct"])
-    def test_values(self, rng, kind):
-        schema, chunks = make_chunks(rng)
+    @pytest.mark.parametrize("kind, attr", ORACLE_CASES)
+    def test_values(self, rng, kind, attr):
+        if attr == "v":
+            schema, chunks = make_chunks(rng)
+        else:
+            arr, _, _ = make_extreme_2d(rng)
+            schema, chunks = arr.schema, arr.chunks
         gla = {"sum": SumGLA, "avg": AvgGLA, "min": MinGLA, "max": MaxGLA,
-               "count_distinct": CountDistinctGLA}.get(kind, CountGLA)("v") \
+               "count_distinct": CountDistinctGLA}.get(kind, CountGLA)(attr) \
             if kind != "count" else CountGLA()
         tree = AggregationTree.star(2)
         run = run_gla_chunks(schema, {0: chunks[::2], 1: chunks[1::2]},
                              gla, tree)
-        expected = oracle_values(schema, chunks)[kind]
-        if kind == "avg":
-            assert run.result == pytest.approx(expected, rel=1e-12)
+        expected = oracle_values(schema, chunks, attr)[kind]
+        if kind == "avg" or (kind == "sum" and attr != "v"):
+            assert run.result == pytest.approx(expected, rel=1e-12,
+                                               nan_ok=True)
         else:
             assert run.result == expected
 

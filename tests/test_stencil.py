@@ -14,9 +14,16 @@ from arraybench import (
     materialize,
 )
 from arraybench.errors import ConfigError, DomainError
-from tests.conftest import array_cells_sorted, make_dense_2d, make_sparse_2d
-
-KINDS = ["sum", "count", "avg", "min", "max", "count_distinct"]
+from tests.conftest import (
+    EXTREME_CASES,
+    KINDS,
+    array_cells_sorted,
+    assert_aggregate_equal,
+    make_dense_2d,
+    make_extreme_2d,
+    make_sparse_2d,
+    numpy_aggregate,
+)
 
 
 def stencil_oracle(grid, valid, shape, origin_coords, kind, lo=(0, 0)):
@@ -176,6 +183,26 @@ class TestPatternOrigins:
         with pytest.raises(ConfigError):
             apply_plus(arr, NeighborhoodShape.square(2, 1),
                        {"x": BitPattern("1")}, AggregateFn("count"))
+
+
+class TestWholeArrayWindow:
+    @pytest.mark.parametrize("boundary", ["merge", "overlap"])
+    @pytest.mark.parametrize("kind, attr", EXTREME_CASES)
+    def test_matches_numpy(self, rng, kind, attr, boundary):
+        """One window covering the array: exact min/max of 2**53 + 1 and of
+        -inf/+inf, with either boundary strategy."""
+        arr, grids, valid = make_extreme_2d(rng)
+        nx, ny = valid.shape
+        out = apply_plus(arr, NeighborhoodShape.of((0, nx - 1), (0, ny - 1)),
+                         {"x": BitPattern("1" + "0" * (nx - 1)),
+                          "y": BitPattern("1" + "0" * (ny - 1))},
+                         AggregateFn(kind, None if kind == "count" else attr,
+                                     "r"),
+                         boundary=boundary, n_workers=3)
+        got, gvalid = materialize(out, "r")
+        assert gvalid.shape == (1, 1) and gvalid.all()
+        assert_aggregate_equal(kind, got[0, 0].item(),
+                               numpy_aggregate(kind, grids[attr][valid]))
 
 
 class TestStrategyAgreement:

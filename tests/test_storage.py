@@ -329,30 +329,6 @@ class TestCatalog:
         assert snap["chunks_read"] == 2
         assert snap["bytes_read"] > 0
 
-    def test_scan_delivers_each_chunk_once(self, rng, tmp_path):
-        cat = Catalog(tmp_path, n_workers=2)
-        self._populate(cat, rng)
-        seen = []
-        import threading
-        lock = threading.Lock()
-
-        def sink(chunk, worker):
-            with lock:
-                seen.append((chunk.chunk_id, worker))
-        cat.scan("s", [0, 1, 2, 3], sink, max_inflight=3)
-        assert sorted(cid for cid, _ in seen) == [0, 1, 2, 3]
-        for cid, worker in seen:
-            assert worker == cid % 2
-
-    def test_scan_propagates_sink_failure(self, rng, tmp_path):
-        cat = Catalog(tmp_path)
-        self._populate(cat, rng)
-
-        def sink(chunk, worker):
-            raise ValueError("boom")
-        with pytest.raises(ValueError):
-            cat.scan("s", [0, 1], sink)
-
     def test_unknown_array_and_chunk(self, tmp_path):
         cat = Catalog(tmp_path)
         with pytest.raises(CatalogError):
