@@ -375,10 +375,12 @@ def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
 def rebox_stored(catalog, name: str, new_box: Box, columns=None,
                  predicate: dict | None = None) -> Array:
     """Range query against a stored array: prune by zone metadata, read
-    only intersecting chunks (and only the requested columns), clip."""
+    only intersecting chunks (only the requested columns, and of a dense
+    chunk only the band of rows that ``new_box`` covers), clip."""
     entry = catalog.entry(name)
     chunk_ids = catalog.prune(name, new_box, predicate)
-    chunks = [catalog.read(name, cid, columns=columns) for cid in chunk_ids]
+    chunks = [catalog.read(name, cid, columns=columns, box=new_box)
+              for cid in chunk_ids]
     schema = entry.schema
     if columns is not None:
         attrs = tuple(a for a in schema.attrs if a.name in set(columns))

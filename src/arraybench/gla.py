@@ -123,7 +123,10 @@ class _Entry:
     limits, or -inf/+inf), so int64 never passes through float64. sum and
     avg accumulate in float64. Emptiness is decided by the count, never by
     the value: -inf and +inf are ordinary values, and a NaN makes its
-    group's sum, avg, min and max NaN.
+    group's sum, avg, min and max NaN. A range predicate (``filter``,
+    pruning) never matches NaN, so zone maps ignore NaN: a chunk's zone is
+    the min and max of its non-NaN values, and the empty zone when it has
+    none.
     """
 
     ufunc = None

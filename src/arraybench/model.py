@@ -195,11 +195,18 @@ class ArraySchema:
 
 
 def _zone_of(values: np.ndarray, kind: str):
+    """(min, max) of the values, ignoring NaN: a range predicate never
+    matches NaN, so a zone need not cover it. No values, or only NaN, give
+    the empty zone."""
     if values.size == 0:
         return EMPTY_ZONE_INT if kind == KIND_INT64 else EMPTY_ZONE_FLOAT
     if kind == KIND_INT64:
         return int(values.min()), int(values.max())
-    return float(values.min()), float(values.max())
+    # fmin/fmax skip NaN and give NaN only when every value is NaN.
+    lo = float(np.fmin.reduce(values))
+    if lo != lo:
+        return EMPTY_ZONE_FLOAT
+    return lo, float(np.fmax.reduce(values))
 
 
 @dataclass

@@ -2,8 +2,11 @@
 placement.
 
 One file per chunk under ``<data_dir>/<array>/<chunk_id>.chk``; each array
-also has a text manifest listing its schema and chunk index. All reads go
-through a byte counter so I/O claims are testable.
+also has a text manifest listing its schema and chunk index. Reads fetch
+only the requested column blocks, and for a dense chunk read with a query
+box only the band of rows that the box covers, plus the matching bytes of
+the validity bitmap. All reads go through a byte counter so I/O claims are
+testable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CatalogError, ConfigError, FormatError, SchemaError
+from .errors import (
+    CatalogError,
+    ConfigError,
+    DomainError,
+    FormatError,
+    SchemaError,
+)
 from .model import (
     DENSE,
     SPARSE,
@@ -27,6 +36,7 @@ from .model import (
     DimensionSpec,
     KIND_FLOAT64,
     KIND_INT64,
+    box_intersect,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -258,12 +268,27 @@ class _CountingFile:
 
 
 def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
-               io_stats=None) -> Chunk:
+               io_stats=None, box: Box | None = None) -> Chunk:
     """Read a chunk file, materializing only the requested column blocks.
 
     ``columns`` may name attributes and (for dense chunks) dimensions;
     suppressed dimension columns cost zero extra bytes. ``None`` reads
     everything.
+
+    ``box`` is the caller's query box. A dense chunk stores each column in
+    row-major order over its box, so the cells of ``box`` intersected with
+    the chunk box lie in one contiguous run: the band whose ranges are the
+    query's up to and including the first dimension where the query spans
+    more than one value, and the chunk's after it. Only that band of each
+    wanted column, and the bitmap bytes that hold its validity bits, are
+    read; the returned chunk covers the band (its attribute zones are the
+    stored chunk's, which bound the band's cells), and the caller clips it
+    to ``box``. A box that misses the chunk raises ``DomainError``. Sparse
+    chunks ignore ``box``, because their cells need their coordinates.
+    ``None`` reads the whole chunk.
+
+    ``bytes_read`` counts the bytes actually read: the header, the bitmap
+    slice, each column's length prefix, and each wanted column's band.
     """
     if columns is not None:
         known = set(schema.dim_names) | set(schema.attr_names)
@@ -276,7 +301,7 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
         raise FormatError(f"cannot open chunk file {locator}: {exc}") from exc
     with raw:
         f = _CountingFile(raw)
-        chunk = _read_chunk_body(f, schema, columns, chunk_id, locator)
+        chunk = _read_chunk_body(f, schema, columns, chunk_id, locator, box)
     if io_stats is not None:
         io_stats.add_read(f.bytes_read)
     chunk.bytes_read = f.bytes_read
@@ -290,7 +315,25 @@ def _read_exact(f, n, what, locator):
     return buf
 
 
-def _read_chunk_body(f, schema, columns, chunk_id, locator):
+def _band(chunk_box: Box, query_box: Box):
+    """The band of ``chunk_box`` that holds every cell of ``query_box``
+    inside it, and the row-major offset of the band's first cell."""
+    inter = box_intersect(chunk_box, query_box)
+    if inter is None:
+        raise DomainError(f"query box {query_box} misses chunk box {chunk_box}")
+    ranges = list(chunk_box.ranges())
+    for d, (lo, hi) in enumerate(inter.ranges()):
+        ranges[d] = (lo, hi)
+        if lo < hi:
+            break
+    band = Box.of(*ranges)
+    start = 0
+    for c, lo, extent in zip(band.lo, chunk_box.lo, chunk_box.extents):
+        start = start * extent + (c - lo)
+    return band, start
+
+
+def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
     head = _read_exact(f, 10, "header", locator)
     if head[:4] != MAGIC:
         raise FormatError(f"bad magic in chunk file {locator}")
@@ -321,16 +364,34 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator):
             raise FormatError(
                 f"attribute {attr.name!r} kind mismatch in {locator}")
         zones[attr.name], off = _unpack_zone(attr.kind, zbuf, off)
+    # Cells [start, start + n) of every stored column are read.
+    band, start = box, 0
     validity = None
     if layout == DENSE:
+        if query_box is not None:
+            band, start = _band(box, query_box)
+        n = band.volume
         (blen,) = struct.unpack(
             "<Q", _read_exact(f, 8, "bitmap length", locator))
-        bitmap = _read_exact(f, blen, "validity bitmap", locator)
+        if blen != (box.volume + 7) // 8:
+            raise FormatError(
+                f"validity bitmap in {locator} has {blen} bytes for "
+                f"{box.volume} cells")
+        first, last = start // 8, (start + n - 1) // 8
+        f.seek(first, os.SEEK_CUR)
+        bitmap = _read_exact(f, last - first + 1, "validity bitmap", locator)
+        f.seek(blen - last - 1, os.SEEK_CUR)
+        bit0 = start % 8
         validity = np.unpackbits(
-            np.frombuffer(bitmap, dtype=np.uint8))[:box.volume].astype(bool)
+            np.frombuffer(bitmap, dtype=np.uint8))[bit0:bit0 + n].astype(bool)
     (count,) = struct.unpack("<Q", _read_exact(f, 8, "cell count", locator))
+    if layout == DENSE and count != box.volume:
+        raise FormatError(
+            f"chunk file {locator} holds {count} cells for a box of "
+            f"{box.volume}")
 
     if layout == SPARSE:
+        n = count
         stored = [(d.name, np.int64) for d in schema.dims]
     else:
         stored = []
@@ -345,16 +406,18 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator):
         (blen,) = struct.unpack(
             "<Q", _read_exact(f, 8, f"length of column {name!r}", locator))
         if wanted is None or name in wanted:
-            payload = f.read(blen)
-            if len(payload) != blen:
+            size = np.dtype(dtype).itemsize
+            if blen != count * size:
+                raise FormatError(
+                    f"column {name!r} in {locator} has {blen} bytes, "
+                    f"expected {count} cells")
+            f.seek(start * size, os.SEEK_CUR)
+            payload = f.read(n * size)
+            if len(payload) != n * size:
                 raise FormatError(
                     f"truncated column {name!r} in chunk file {locator}")
-            col = np.frombuffer(payload, dtype=dtype)
-            if len(col) != count:
-                raise FormatError(
-                    f"column {name!r} in {locator} has {len(col)} cells, "
-                    f"expected {count}")
-            read_cols[name] = col
+            f.seek(blen - (start + n) * size, os.SEEK_CUR)
+            read_cols[name] = np.frombuffer(payload, dtype=dtype)
         else:
             f.seek(blen, os.SEEK_CUR)
 
@@ -366,13 +429,13 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator):
     meta = dict(zones)
     for i, d in enumerate(schema.dims):
         if layout == DENSE:
-            meta[d.name] = (box.lo[i], box.hi[i])
+            meta[d.name] = (band.lo[i], band.hi[i])
         elif dim_columns and d.name in dim_columns and len(dim_columns[d.name]):
             meta[d.name] = (int(dim_columns[d.name].min()),
                             int(dim_columns[d.name].max()))
         else:
             meta[d.name] = (box.lo[i], box.hi[i])
-    return Chunk(chunk_id, box, layout, attr_cols, validity=validity,
+    return Chunk(chunk_id, band, layout, attr_cols, validity=validity,
                  dim_columns=dim_columns, zone_meta=meta)
 
 
@@ -441,35 +504,43 @@ class IOStats:
             return {"bytes_read": self.bytes_read, "chunks_read": self.chunks_read}
 
 
-def _ranges_overlap(zone, lo, hi):
-    return zone[0] <= hi and zone[1] >= lo
-
-
 def prune(entry: CatalogEntry, query_box: Box | None = None,
           predicate: dict | None = None) -> list:
     """Chunk ids whose box intersects the query box and whose attribute
     zones overlap every predicate range. Purely metadata-driven."""
     if query_box is not None and query_box.ndim != len(entry.schema.dims):
         raise SchemaError("query box dimensionality does not match schema")
+    checks = []
+    if query_box is not None:
+        checks += zip(entry.schema.dim_names, query_box.lo, query_box.hi)
+    if predicate:
+        checks += [(name, lo, hi) for name, (lo, hi) in predicate.items()]
     out = []
     for ref in entry.chunk_index:
-        if query_box is not None:
-            hit = all(_ranges_overlap(ref.zone_meta[d], lo, hi)
-                      for d, (lo, hi) in zip(entry.schema.dim_names,
-                                             query_box.ranges()))
-            if not hit:
-                continue
-        if predicate:
-            ok = True
-            for name, (lo, hi) in predicate.items():
-                zone = ref.zone_meta.get(name)
-                if zone is None or not _ranges_overlap(zone, lo, hi):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        out.append(ref.chunk_id)
+        zones = ref.zone_meta
+        for name, lo, hi in checks:
+            zone = zones.get(name)
+            if zone is None or zone[0] > hi or zone[1] < lo:
+                break
+        else:
+            out.append(ref.chunk_id)
     return out
+
+
+def _parse_zone(text: str, kind: str | None, path) -> tuple:
+    """A manifest zone ``lo:hi``, typed by its column's kind. A NaN bound,
+    which older catalogs wrote for float chunks holding a NaN, loads as the
+    unknown zone (-inf, inf), so pruning keeps the chunk."""
+    if kind is None:
+        raise FormatError(f"manifest {path} has a zone for an unknown column")
+    conv = int if kind == KIND_INT64 else float
+    try:
+        lo, hi = (conv(v) for v in text.split(":"))
+    except ValueError as exc:
+        raise FormatError(f"bad zone {text!r} in manifest {path}") from exc
+    if lo != lo or hi != hi:
+        return (-np.inf, np.inf)
+    return (lo, hi)
 
 
 class Catalog:
@@ -565,6 +636,7 @@ class Catalog:
         name = None
         density = DENSE
         dims, attrs, origin, refs = [], [], None, []
+        kinds = {}  # zone name -> kind; dimension zones are int64
         for line in path.read_text().splitlines():
             tok = line.split()
             if not tok:
@@ -574,8 +646,10 @@ class Catalog:
                 density = tok[2].split("=", 1)[1]
             elif tok[0] == "dim":
                 dims.append(DimensionSpec(tok[1], int(tok[2]), int(tok[3])))
+                kinds[tok[1]] = KIND_INT64
             elif tok[0] == "attr":
                 attrs.append(AttributeSpec(tok[1], tok[2]))
+                kinds[tok[1]] = tok[2]
             elif tok[0] == "origin":
                 origin = tuple(int(v) for v in tok[1:])
             elif tok[0] == "chunk":
@@ -590,21 +664,21 @@ class Catalog:
                     if not z:
                         continue
                     zname, zrange = z.split("=", 1)
-                    lo_s, hi_s = zrange.split(":")
-                    conv = float if ("." in lo_s or "inf" in lo_s or "e" in lo_s
-                                     or "." in hi_s or "inf" in hi_s) else int
-                    zones[zname] = (conv(lo_s), conv(hi_s))
+                    zones[zname] = _parse_zone(zrange, kinds.get(zname), path)
                 refs.append(ChunkRef(cid, box, zones, worker, locator))
         schema = ArraySchema(name, tuple(dims), tuple(attrs), density, origin)
         return CatalogEntry(schema, refs)
 
     # -- access -----------------------------------------------------------
 
-    def read(self, name: str, chunk_id: int, columns=None) -> Chunk:
+    def read(self, name: str, chunk_id: int, columns=None,
+             box: Box | None = None) -> Chunk:
+        """One chunk, read through ``read_chunk`` (see there for
+        ``columns`` and ``box``)."""
         entry = self.entry(name)
         ref = entry.ref(chunk_id)
         return read_chunk(ref.locator, entry.schema, columns=columns,
-                          chunk_id=chunk_id, io_stats=self.io)
+                          chunk_id=chunk_id, io_stats=self.io, box=box)
 
     def prune(self, name: str, query_box=None, predicate=None) -> list:
         return prune(self.entry(name), query_box, predicate)

@@ -167,6 +167,20 @@ class TestFilter:
             if 0 <= a0 <= 50)
         assert array_cells_sorted(out) == expected
 
+    def test_nan_keeps_in_range_values(self):
+        """A NaN in a chunk leaves its zone the range of the other values,
+        so zone exclusion keeps every in-range cell of that chunk."""
+        schema = ArraySchema("n", (DimensionSpec("x", 0, 9),),
+                             (AttributeSpec("a", "float64"),), "dense")
+        values = np.arange(10, dtype=np.float64)
+        values[3] = np.nan
+        arr = dense_array(schema, {"a": values}, chunk_shape=(5,))
+        assert arr.chunks[0].zone_meta["a"] == (0.0, 4.0)
+        out = filter_op(arr, Predicate.of(ranges={"a": (0.0, 9.0)}))
+        got, gvalid = materialize(out, "a")
+        assert np.array_equal(gvalid, ~np.isnan(values))
+        assert np.array_equal(got[gvalid], values[gvalid])
+
     def test_box_unchanged(self, rng):
         arr, _, _ = make_dense_2d(rng, 6, 6)
         out = filter_op(arr, Predicate.of(ranges={"a0": (1000, 2000)}))

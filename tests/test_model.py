@@ -167,6 +167,14 @@ class TestDenseChunk:
         lo, hi = chunk.zone_meta["v"]
         assert lo > hi
 
+    def test_all_nan_column_gets_empty_zone(self):
+        schema = _schema_2d()
+        box = Box((0, 0), (1, 1))
+        chunk = make_dense_chunk(schema, box,
+                                 {"v": np.zeros(4), "f": np.full(4, np.nan)},
+                                 np.ones(4, bool))
+        assert chunk.zone_meta["f"] == EMPTY_ZONE_FLOAT
+
     def test_length_mismatch_rejected(self):
         schema = _schema_2d()
         box = Box((0, 0), (1, 1))

@@ -1,9 +1,14 @@
 """On-disk chunk format, chunking strategies, pruning, and the catalog."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arraybench import (
+    Array,
     ArraySchema,
     AttributeSpec,
     Box,
@@ -14,16 +19,21 @@ from arraybench import (
     chunk_array,
     make_dense_chunk,
     make_sparse_chunk,
+    materialize,
     read_chunk,
+    rebox,
+    rebox_stored,
     tile_box,
     write_chunk,
 )
 from arraybench.errors import (
     CatalogError,
     ConfigError,
+    DomainError,
     FormatError,
     SchemaError,
 )
+from tests.conftest import make_dense_2d
 
 
 def dense_schema():
@@ -239,6 +249,145 @@ class TestChunkFileFormat:
             read_chunk(str(tmp_path / "missing.chk"), dense_schema())
 
 
+# Bytes of a dense_schema() chunk file before the bitmap (magic, version,
+# layout and counts; box bounds; kind and zone per attribute; bitmap length),
+# and the bitmap and cell count that follow.
+DENSE_PREFIX = 10 + 16 * 2 + 17 * 2 + 8
+DENSE_BITMAP = (10 * 8 + 7) // 8
+
+
+@st.composite
+def dense_cases(draw):
+    """A 1-D to 3-D chunk box, a query box that meets it, a validity mask
+    and a value seed."""
+    ndim = draw(st.integers(1, 3))
+    lo = [draw(st.integers(-4, 4)) for _ in range(ndim)]
+    hi = [l + draw(st.integers(0, 5)) for l in lo]
+    qlo, qhi = [], []
+    for l, h in zip(lo, hi):
+        p = draw(st.integers(l, h))
+        qlo.append(p - draw(st.integers(0, 3)))
+        qhi.append(p + draw(st.integers(0, 3)))
+    box = Box(tuple(lo), tuple(hi))
+    valid = draw(st.lists(st.booleans(), min_size=box.volume,
+                          max_size=box.volume))
+    return box, Box(tuple(qlo), tuple(qhi)), valid, draw(st.integers(0, 2**32))
+
+
+class TestBoxedRead:
+    @settings(max_examples=60, deadline=None)
+    @given(case=dense_cases())
+    def test_matches_clipped_full_read(self, case):
+        box, query, valid, seed = case
+        schema = ArraySchema(
+            "h", tuple(DimensionSpec(f"d{i}", l, h)
+                       for i, (l, h) in enumerate(box.ranges())),
+            (AttributeSpec("v", "int64"), AttributeSpec("f", "float64")),
+            "dense")
+        rng = np.random.default_rng(seed)
+        chunk = make_dense_chunk(schema, box,
+                                 {"v": rng.integers(-9, 10, box.volume),
+                                  "f": rng.normal(size=box.volume)}, valid)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.chk")
+            write_chunk(chunk, schema, path)
+            full = read_chunk(path, schema)
+            banded = read_chunk(path, schema, box=query)
+        assert banded.bytes_read <= full.bytes_read
+        (want,) = rebox(Array(schema, [full]), query).chunks
+        (got,) = rebox(Array(schema, [banded]), query).chunks
+        assert got.box == want.box
+        assert np.array_equal(got.validity, want.validity)
+        for a in ("v", "f"):
+            assert np.array_equal(got.columns[a], want.columns[a])
+        assert got.zone_meta == want.zone_meta
+
+    def test_box_covering_chunk_reads_what_full_read_reads(self, rng,
+                                                           tmp_path):
+        schema = dense_schema()
+        chunk = random_dense_chunk(rng)
+        path = str(tmp_path / "c.chk")
+        write_chunk(chunk, schema, path)
+        full = read_chunk(path, schema)
+        for box in (chunk.box, Box((-5, -5), (20, 20))):
+            same = read_chunk(path, schema, box=box)
+            assert same.bytes_read == full.bytes_read
+            assert same.box == chunk.box
+            assert np.array_equal(same.validity, chunk.validity)
+
+    def test_byte_count_is_exact(self, rng, tmp_path):
+        schema = dense_schema()
+        chunk = random_dense_chunk(rng)
+        path = str(tmp_path / "c.chk")
+        write_chunk(chunk, schema, path)
+        full = read_chunk(path, schema)
+        assert full.bytes_read == \
+            DENSE_PREFIX + DENSE_BITMAP + 8 + 2 * (8 + 80 * 8)
+        # x spans more than one value, so the band is rows x = 2..4 in
+        # full: cells 16..39, bitmap bytes 2..4.
+        band = read_chunk(path, schema, columns=["v"],
+                          box=Box((2, 3), (4, 5)))
+        assert band.box == Box((2, 0), (4, 7))
+        assert band.bytes_read == DENSE_PREFIX + 3 + 8 + 2 * 8 + 24 * 8
+        assert np.array_equal(band.columns["v"], chunk.columns["v"][16:40])
+        # One cell at offset 11: one bitmap byte, read from bit 3.
+        one = read_chunk(path, schema, box=Box((1, 3), (1, 3)))
+        assert one.box == Box((1, 3), (1, 3))
+        assert one.bytes_read == DENSE_PREFIX + 1 + 8 + 2 * (8 + 8)
+        assert one.validity.tolist() == [chunk.validity[11]]
+        assert one.columns["f"].tolist() == [chunk.columns["f"][11]]
+
+    def test_box_missing_chunk_rejected(self, rng, tmp_path):
+        schema = dense_schema()
+        path = str(tmp_path / "c.chk")
+        write_chunk(random_dense_chunk(rng), schema, path)
+        with pytest.raises(DomainError):
+            read_chunk(path, schema, box=Box((10, 0), (12, 7)))
+
+    def test_sparse_chunk_ignores_box(self, rng, tmp_path):
+        schema = sparse_schema()
+        chunk = make_sparse_chunk(schema, schema.box,
+                                  {"x": rng.integers(0, 100, 30),
+                                   "y": rng.integers(0, 100, 30)},
+                                  {"v": rng.integers(-5, 5, 30)})
+        path = str(tmp_path / "c.chk")
+        write_chunk(chunk, schema, path)
+        full = read_chunk(path, schema)
+        boxed = read_chunk(path, schema, box=Box((0, 0), (5, 5)))
+        assert boxed.bytes_read == full.bytes_read
+        assert boxed.box == full.box
+        for d in ("x", "y"):
+            assert np.array_equal(boxed.dim_columns[d], chunk.dim_columns[d])
+        assert np.array_equal(boxed.columns["v"], chunk.columns["v"])
+
+    def test_truncated_inside_band_rejected(self, rng, tmp_path):
+        schema = dense_schema()
+        path = tmp_path / "c.chk"
+        write_chunk(random_dense_chunk(rng), schema, str(path))
+        # Column v's band (cells 16..39) starts after the bitmap, the cell
+        # count and v's length; cut the file 5 cells into it.
+        band_start = DENSE_PREFIX + DENSE_BITMAP + 8 + 8 + 16 * 8
+        path.write_bytes(path.read_bytes()[:band_start + 5 * 8])
+        with pytest.raises(FormatError):
+            read_chunk(str(path), schema, box=Box((2, 3), (4, 5)))
+
+    def test_rebox_stored_tile_reads_a_tenth_of_its_chunk(self, rng,
+                                                         tmp_path):
+        arr, grids, valid = make_dense_2d(rng, 64, 64)
+        cat = Catalog(tmp_path)
+        cat.create_array(arr.schema)
+        (ref,) = cat.add_chunks("a", arr.chunks)
+        cat.io.reset()
+        out = rebox_stored(cat, "a", Box((30, 30), (32, 32)))
+        assert cat.io.snapshot()["bytes_read"] <= \
+            os.path.getsize(ref.locator) / 10
+        sl = (slice(30, 33), slice(30, 33))
+        for a in ("a0", "a1"):
+            got, gvalid = materialize(out, a)
+            assert np.array_equal(gvalid, valid[sl])
+            assert np.array_equal(got[gvalid], grids[a][sl][valid[sl]])
+
+
 class TestPlacement:
     def test_round_robin_balance(self):
         p = WorkerPlacement(4, "round_robin")
@@ -288,6 +437,34 @@ class TestCatalog:
         c1 = cat.read("s", 2)
         c2 = cat2.read("s", 2)
         assert np.array_equal(c1.columns["v"], c2.columns["v"])
+
+    def test_manifest_zones_typed_from_schema(self, tmp_path):
+        schema = ArraySchema("f", (DimensionSpec("x", 0, 9),),
+                             (AttributeSpec("a", "float64"),
+                              AttributeSpec("b", "int64")), "dense")
+        cat = Catalog(tmp_path)
+        cat.create_array(schema)
+        cat.add_chunks("f", chunk_array(
+            schema, {"a": np.arange(10.0), "b": np.arange(10)},
+            ChunkingStrategy.regular((5,))))
+        cat.save()
+        manifest = tmp_path / "f" / "manifest.txt"
+        text = manifest.read_text()
+        assert "a=0.0:4.0" in text
+        # A catalog written when a chunk holding a NaN got a NaN zone.
+        manifest.write_text(text.replace("a=0.0:4.0", "a=nan:nan"))
+        cat2 = Catalog(tmp_path)
+        cat2.load()
+        first, second = (r.zone_meta for r in cat2.entry("f").chunk_index)
+        assert first["a"] == (-np.inf, np.inf)
+        assert second["a"] == (5.0, 9.0)
+        assert type(second["a"][0]) is float
+        assert first["b"] == (0, 4) and type(first["b"][0]) is int
+        assert first["x"] == (0, 4) and type(first["x"][0]) is int
+        assert cat2.prune("f", predicate={"a": (1.0, 2.0)}) == [0]
+        manifest.write_text(text.replace("b=0:4", "b=0:x"))
+        with pytest.raises(FormatError):
+            Catalog(tmp_path).load()
 
     def test_prune_matches_exhaustive_oracle(self, rng, tmp_path):
         cat = Catalog(tmp_path)
