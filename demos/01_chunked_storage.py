@@ -17,7 +17,6 @@ from arraybench import (
     AttributeSpec,
     Box,
     Catalog,
-    ChunkingStrategy,
     DimensionSpec,
     chunk_array,
 )
@@ -38,7 +37,7 @@ values = {
     "__valid__": rng.random(n) < 0.97,
 }
 
-chunks = chunk_array(schema, values, ChunkingStrategy.regular((50, 50)))
+chunks = chunk_array(schema, values, (50, 50))
 print(f"array {schema.name}: {n} cells -> {len(chunks)} chunks of 50x50")
 print(f"first chunk zones: {chunks[0].zone_meta}")
 

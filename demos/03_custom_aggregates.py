@@ -18,10 +18,8 @@ from arraybench import (
     AggregationTree,
     ArraySchema,
     AttributeSpec,
-    ChunkingStrategy,
     DimensionSpec,
     chunk_array,
-    measure_merge_traffic,
     run_gla_chunks,
 )
 
@@ -62,7 +60,7 @@ schema = ArraySchema(
     "dense")
 v = rng.integers(0, 1000, 10_000, dtype=np.int64)
 chunks = chunk_array(schema, {"v": v, "__valid__": np.ones(len(v), bool)},
-                     ChunkingStrategy.regular((500,)))
+                     (500,))
 print(f"{len(v)} samples in {len(chunks)} chunks")
 
 # Round-robin the chunks over 4 workers; partials climb a binary tree.
@@ -72,10 +70,9 @@ for build in (AggregationTree.star, AggregationTree.chain,
     tree = build(4)
     run = run_gla_chunks(schema, by_worker,
                          HistogramGLA("v", 0, 1000, 10), tree)
-    traffic = measure_merge_traffic(run)
     print(f"\n{build.__name__:16s} tree: median = {run.result['median']}, "
           f"merge traffic = {run.cross_worker_bytes} bytes over edges "
-          f"{sorted(traffic)}")
+          f"{sorted(run.edge_bytes)}")
     print(f"{'':16s}       counts = {run.result['counts']}")
 
 # The answer never depends on the tree shape or worker count — only the

@@ -25,7 +25,6 @@ from .algebra import (
 from .errors import (
     CatalogError,
     ConfigError,
-    ContractError,
     DependencyError,
     DomainError,
     EngineError,
@@ -47,10 +46,8 @@ from .gla import (
     MinGLA,
     SumGLA,
     cell_batch,
-    measure_merge_traffic,
     run_gla,
     run_gla_chunks,
-    run_gla_confined,
 )
 from .model import (
     ArraySchema,
@@ -75,9 +72,7 @@ from .plans import (
 )
 from .storage import (
     Catalog,
-    ChunkingStrategy,
     IOStats,
-    WorkerPlacement,
     chunk_array,
     read_chunk,
     tile_box,

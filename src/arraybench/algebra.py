@@ -79,19 +79,17 @@ class Array:
 def dense_array(schema: ArraySchema, data: dict, chunk_shape=None) -> Array:
     """Build a dense in-memory array from row-major columns over the schema
     box (``__valid__`` optional)."""
-    from .storage import ChunkingStrategy, chunk_array
+    from .storage import chunk_array
 
     shape = chunk_shape or schema.box.extents
-    chunks = chunk_array(schema, data, ChunkingStrategy.regular(shape))
-    return Array(schema, chunks)
+    return Array(schema, chunk_array(schema, data, shape))
 
 
 def sparse_array(schema: ArraySchema, data: dict, chunk_shape=None) -> Array:
-    from .storage import ChunkingStrategy, chunk_array
+    from .storage import chunk_array
 
     shape = chunk_shape or schema.box.extents
-    chunks = chunk_array(schema, data, ChunkingStrategy.regular(shape))
-    return Array(schema, chunks)
+    return Array(schema, chunk_array(schema, data, shape))
 
 
 def materialize(array: Array, attr: str, default=0):

@@ -210,8 +210,7 @@ def main(argv=None) -> int:
     try:
         config = BenchConfig.from_mapping(mapping)
         if args.plan:
-            catalog = Catalog(args.data_dir, n_workers=config.n_workers,
-                              seed=config.seed)
+            catalog = Catalog(args.data_dir, n_workers=config.n_workers)
             catalog.load()
             with open(args.plan, encoding="utf-8") as f:
                 plan = parse_plan(f.read())

@@ -29,10 +29,6 @@ class ShapeError(EngineError):
     """Mismatched array shapes/boxes between operands."""
 
 
-class ContractError(EngineError):
-    """A user aggregate does not satisfy its declared contract."""
-
-
 class CatalogError(EngineError):
     """Unknown array or chunk referenced through the catalog."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .model import DENSE, Chunk
 
 # ---------------------------------------------------------------------------
@@ -64,8 +64,8 @@ class GLA:
     equality, and ``remote_merge(s, serialize(t))`` must equal
     ``local_merge(s, t)`` — the default implementations guarantee the
     latter. ``begin_chunk``/``end_chunk`` bracket every chunk exactly once
-    on the state that folds it; ``end_chunk`` and ``local_terminate`` may
-    return rows to materialize early.
+    on the state that folds it; ``end_chunk`` may return rows to
+    materialize early.
     """
 
     def init(self):
@@ -88,9 +88,6 @@ class GLA:
 
     def remote_merge(self, state, payload: bytes):
         return self.local_merge(state, pickle.loads(payload))
-
-    def local_terminate(self, state):
-        return None
 
     def terminate(self, state):
         raise NotImplementedError
@@ -417,9 +414,6 @@ class SumGLA(_BuiltinGLA):
 class CountGLA(_BuiltinGLA):
     kind = "count"
 
-    def local_terminate(self, state):
-        return self.terminate(state)
-
 
 class AvgGLA(_BuiltinGLA):
     kind = "avg"
@@ -509,7 +503,6 @@ class GLARun:
     """Result and instrumentation of one aggregate execution."""
 
     result: object = None
-    per_worker: dict = field(default_factory=dict)
     materialized: list = field(default_factory=list)
     edge_bytes: dict = field(default_factory=dict)  # (child, parent) -> bytes
 
@@ -518,62 +511,40 @@ class GLARun:
         return sum(self.edge_bytes.values())
 
 
-def _fold_worker(gla, schema, chunks, run, lock, threads: int):
-    """Fold one worker's chunks into a single merged state."""
-
-    def fold(chunk_list):
-        state = gla.init()
-        for chunk in chunk_list:
-            gla.begin_chunk(state, chunk)
-            gla.accumulate(state, cell_batch(chunk, schema))
-            rows = gla.end_chunk(state)
-            if rows:
-                with lock:
-                    run.materialized.extend(rows)
-        return state
-
-    if threads <= 1 or len(chunks) <= 1:
-        return fold(chunks)
-    parts = [chunks[i::threads] for i in range(threads)]
-    parts = [p for p in parts if p]
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        states = list(pool.map(fold, parts))
-    merged = states[0]
-    for s in states[1:]:
-        merged = gla.local_merge(merged, s)
-    return merged
-
-
-def _chunks_by_worker(catalog, name, chunk_ids, columns):
-    entry = catalog.entry(name)
-    grouped = {}
-    for cid in chunk_ids:
-        ref = entry.ref(cid)
-        grouped.setdefault(ref.worker_id, []).append(ref)
-    loaded = {}
-    for w, refs in grouped.items():
-        loaded[w] = [catalog.read(name, r.chunk_id, columns=columns)
-                     for r in refs]
-    return entry.schema, loaded
+def _fold_worker(gla, schema, chunks, run, lock):
+    """Fold one worker's chunks, in order, into a single state."""
+    state = gla.init()
+    for chunk in chunks:
+        gla.begin_chunk(state, chunk)
+        gla.accumulate(state, cell_batch(chunk, schema))
+        rows = gla.end_chunk(state)
+        if rows:
+            with lock:
+                run.materialized.extend(rows)
+    return state
 
 
 def run_gla(catalog, name, chunk_ids, gla: GLA, tree: AggregationTree | None = None,
-            threads_per_worker: int = 2, columns=None) -> GLARun:
+            columns=None) -> GLARun:
     """Execute an aggregate over the named chunks.
 
-    Each worker folds its chunks (possibly with several concurrent states
-    merged afterwards), then states ascend the tree as serialized bytes;
+    Chunks go to the worker the catalog placed them on. Each worker folds
+    its chunks in order, then states ascend the tree as serialized bytes;
     terminate runs once at the root. The result is independent of chunk
-    order, thread count, and tree shape for any law-abiding aggregate.
+    order and tree shape for any law-abiding aggregate.
     """
-    schema, by_worker = _chunks_by_worker(catalog, name, chunk_ids, columns)
+    entry = catalog.entry(name)
+    by_worker = {}
+    for cid in chunk_ids:
+        ref = entry.ref(cid)
+        by_worker.setdefault(ref.worker_id, []).append(
+            catalog.read(name, cid, columns=columns))
     tree = tree or AggregationTree.balanced_binary(catalog.n_workers)
-    return run_gla_chunks(schema, by_worker, gla, tree,
-                          threads_per_worker=threads_per_worker)
+    return run_gla_chunks(entry.schema, by_worker, gla, tree)
 
 
 def run_gla_chunks(schema, chunks_by_worker: dict, gla: GLA,
-                   tree: AggregationTree, threads_per_worker: int = 2) -> GLARun:
+                   tree: AggregationTree) -> GLARun:
     """Core executor over already-loaded chunks grouped by worker."""
     run = GLARun()
     lock = threading.Lock()
@@ -584,7 +555,7 @@ def run_gla_chunks(schema, chunks_by_worker: dict, gla: GLA,
 
     with ThreadPoolExecutor(max_workers=max(1, len(workers))) as pool:
         futs = {w: pool.submit(_fold_worker, gla, schema, chunks_by_worker[w],
-                               run, lock, threads_per_worker)
+                               run, lock)
                 for w in workers}
         for w, fut in futs.items():
             states[w] = fut.result()
@@ -605,31 +576,6 @@ def run_gla_chunks(schema, chunks_by_worker: dict, gla: GLA,
     run.result = gla.terminate(root_state)
     _record_traffic(run.cross_worker_bytes)
     return run
-
-
-def run_gla_confined(catalog, name, chunk_ids, gla: GLA,
-                     threads_per_worker: int = 2, columns=None) -> GLARun:
-    """Worker-confined execution: local_terminate per worker, no
-    cross-worker traffic."""
-    if type(gla).local_terminate is GLA.local_terminate:
-        raise ContractError(
-            f"{type(gla).__name__} does not implement local_terminate; "
-            "confined execution is not available")
-    schema, by_worker = _chunks_by_worker(catalog, name, chunk_ids, columns)
-    run = GLARun()
-    lock = threading.Lock()
-    with ThreadPoolExecutor(max_workers=max(1, len(by_worker))) as pool:
-        futs = {w: pool.submit(_fold_worker, gla, schema, chunks, run, lock,
-                               threads_per_worker)
-                for w, chunks in by_worker.items()}
-        for w, fut in futs.items():
-            run.per_worker[w] = gla.local_terminate(fut.result())
-    return run
-
-
-def measure_merge_traffic(run: GLARun) -> dict:
-    """Exact serialized byte count per aggregation-tree edge."""
-    return dict(run.edge_bytes)
 
 
 # Process-wide merge-traffic accounting, so report code can attribute

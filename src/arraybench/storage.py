@@ -1,5 +1,5 @@
-"""On-disk chunk format, chunking strategies, zone-map pruning, and worker
-placement.
+"""On-disk chunk format, regular chunking, zone-map pruning, and the
+catalog.
 
 One file per chunk under ``<data_dir>/<array>/<chunk_id>.chk``; each array
 also has a text manifest listing its schema and chunk index. Reads fetch
@@ -51,36 +51,17 @@ _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
 # ---------------------------------------------------------------------------
-# Chunking strategies
+# Chunking
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChunkingStrategy:
-    """Regular (fixed per-dim shape) or irregular (target cells per chunk)."""
-
-    kind: str  # "regular" | "irregular"
-    shape: tuple | None = None
-    target_cells: int | None = None
-
-    @classmethod
-    def regular(cls, shape) -> "ChunkingStrategy":
-        shape = tuple(int(s) for s in shape)
-        if any(s <= 0 for s in shape):
-            raise ConfigError(f"regular chunk shape {shape} has a zero extent")
-        return cls("regular", shape=shape)
-
-    @classmethod
-    def irregular(cls, target_cells: int) -> "ChunkingStrategy":
-        if target_cells <= 0:
-            raise ConfigError("irregular target cell count must be positive")
-        return cls("irregular", target_cells=int(target_cells))
-
 
 def tile_box(box: Box, shape) -> list:
     """Tile a box with regular chunks of the given shape, clipped at the
     upper edges. Tiles are ordered row-major over the tile grid."""
+    shape = tuple(int(s) for s in shape)
     if len(shape) != box.ndim:
         raise ConfigError("chunk shape dimensionality mismatch")
+    if any(s <= 0 for s in shape):
+        raise ConfigError(f"chunk shape {shape} has a zero extent")
     grids = [range(lo, hi + 1, s) for lo, hi, s in zip(box.lo, box.hi, shape)]
     tiles = []
 
@@ -97,32 +78,31 @@ def tile_box(box: Box, shape) -> list:
     return tiles
 
 
-def chunk_array(schema: ArraySchema, data: dict, strategy: ChunkingStrategy,
+def chunk_array(schema: ArraySchema, data: dict, chunk_shape,
                 box: Box | None = None) -> list:
-    """Partition array data into chunks.
+    """Partition array data into regular chunks of ``chunk_shape`` (see
+    ``tile_box``).
 
     Dense arrays: ``data`` holds one row-major column per attribute over
-    ``box`` plus a ``"__valid__"`` bitmap, and require a regular strategy.
-    Sparse arrays: ``data`` holds one column per dimension and attribute.
+    ``box`` plus a ``"__valid__"`` bitmap. Sparse arrays: ``data`` holds
+    one column per dimension and attribute; tiles without cells are
+    dropped.
     """
     box = box if box is not None else schema.box
+    tiles = tile_box(box, chunk_shape)
     if schema.density == DENSE:
-        if strategy.kind != "regular":
-            raise ConfigError("dense arrays require a regular chunking strategy")
-        return _chunk_dense(schema, data, strategy.shape, box)
-    if strategy.kind == "regular":
-        return _chunk_sparse_regular(schema, data, strategy.shape, box)
-    return _chunk_sparse_irregular(schema, data, strategy.target_cells, box)
+        return _chunk_dense(schema, data, tiles, box)
+    return _chunk_sparse(schema, data, tiles)
 
 
-def _chunk_dense(schema, data, shape, box):
+def _chunk_dense(schema, data, tiles, box):
     extents = box.extents
     validity = np.asarray(data.get("__valid__", np.ones(box.volume, bool)),
                           dtype=bool).reshape(extents)
     grids = {a.name: np.asarray(data[a.name], dtype=a.dtype).reshape(extents)
              for a in schema.attrs}
     chunks = []
-    for i, tile in enumerate(tile_box(box, shape)):
+    for i, tile in enumerate(tiles):
         sl = tuple(slice(l - bl, h - bl + 1)
                    for l, h, bl in zip(tile.lo, tile.hi, box.lo))
         values = {name: g[sl].ravel() for name, g in grids.items()}
@@ -131,74 +111,21 @@ def _chunk_dense(schema, data, shape, box):
     return chunks
 
 
-def _sparse_subset(schema, data, mask):
-    dims = {d.name: np.asarray(data[d.name], dtype=np.int64)[mask]
-            for d in schema.dims}
-    attrs = {a.name: np.asarray(data[a.name], dtype=a.dtype)[mask]
-             for a in schema.attrs}
-    return dims, attrs
-
-
-def _chunk_sparse_regular(schema, data, shape, box):
+def _chunk_sparse(schema, data, tiles):
     coords = [np.asarray(data[d.name], dtype=np.int64) for d in schema.dims]
     n = len(coords[0])
     chunks = []
-    cid = 0
-    for tile in tile_box(box, shape):
+    for tile in tiles:
         mask = np.ones(n, dtype=bool)
         for c, lo, hi in zip(coords, tile.lo, tile.hi):
             mask &= (c >= lo) & (c <= hi)
         if not mask.any():
             continue
-        dims, attrs = _sparse_subset(schema, data, mask)
-        chunks.append(make_sparse_chunk(schema, tile, dims, attrs, chunk_id=cid))
-        cid += 1
-    return chunks
-
-
-def _chunk_sparse_irregular(schema, data, target, box):
-    """Recursive count-balanced splits along the dimension with the widest
-    cell spread until each piece holds at most ``target`` cells."""
-    coords = np.stack([np.asarray(data[d.name], dtype=np.int64)
-                       for d in schema.dims])
-    n = coords.shape[1]
-    if n == 0:
-        return []
-    pieces = []
-
-    def split(idx, piece_box):
-        if len(idx) <= target:
-            pieces.append((idx, piece_box))
-            return
-        # Prefer the dimension with the widest actual coordinate spread;
-        # a dimension where all cells coincide cannot be cut.
-        spreads = [int(coords[d, idx].max() - coords[d, idx].min())
-                   for d in range(coords.shape[0])]
-        order = sorted(range(len(spreads)), key=lambda d: -spreads[d])
-        for d in order:
-            if spreads[d] == 0:
-                break
-            vals = np.sort(coords[d, idx])
-            cuts = np.unique(vals)[:-1]  # cut after value c: left = coord <= c
-            left_counts = np.searchsorted(vals, cuts, side="right")
-            best = int(cuts[int(np.argmin(np.abs(left_counts - len(idx) / 2)))])
-            lo_ranges = list(piece_box.ranges())
-            hi_ranges = list(piece_box.ranges())
-            lo_ranges[d] = (piece_box.lo[d], best)
-            hi_ranges[d] = (best + 1, piece_box.hi[d])
-            mask = coords[d, idx] <= best
-            split(idx[mask], Box.of(*lo_ranges))
-            split(idx[~mask], Box.of(*hi_ranges))
-            return
-        pieces.append((idx, piece_box))  # all cells coincide
-
-    split(np.arange(n), box)
-    chunks = []
-    for cid, (idx, piece_box) in enumerate(pieces):
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        dims, attrs = _sparse_subset(schema, data, mask)
-        chunks.append(make_sparse_chunk(schema, piece_box, dims, attrs, chunk_id=cid))
+        dims = {d.name: c[mask] for d, c in zip(schema.dims, coords)}
+        attrs = {a.name: np.asarray(data[a.name], dtype=a.dtype)[mask]
+                 for a in schema.attrs}
+        chunks.append(make_sparse_chunk(schema, tile, dims, attrs,
+                                        chunk_id=len(chunks)))
     return chunks
 
 
@@ -440,25 +367,8 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
 
 
 # ---------------------------------------------------------------------------
-# Placement and catalog
+# Catalog
 # ---------------------------------------------------------------------------
-
-@dataclass
-class WorkerPlacement:
-    """chunk_id -> worker_id assignment."""
-
-    n_workers: int
-    strategy: str = "round_robin"  # or "random"
-    seed: int = 0
-
-    def assign(self, chunk_ids) -> dict:
-        if self.strategy == "round_robin":
-            return {cid: cid % self.n_workers for cid in chunk_ids}
-        if self.strategy == "random":
-            rng = np.random.default_rng(self.seed)
-            return {cid: int(rng.integers(self.n_workers)) for cid in chunk_ids}
-        raise ConfigError(f"unknown placement strategy {self.strategy!r}")
-
 
 @dataclass
 class ChunkRef:
@@ -544,14 +454,13 @@ def _parse_zone(text: str, kind: str | None, path) -> tuple:
 
 
 class Catalog:
-    """Directory-backed array catalog with chunk placement."""
+    """Directory-backed array catalog; chunk ``i`` of an array is placed on
+    worker ``i % n_workers``."""
 
-    def __init__(self, data_dir, n_workers: int = 1,
-                 placement: str = "round_robin", seed: int = 0):
+    def __init__(self, data_dir, n_workers: int = 1):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.n_workers = n_workers
-        self.placement = WorkerPlacement(n_workers, placement, seed)
         self.arrays: dict[str, CatalogEntry] = {}
         self.io = IOStats()
 
@@ -589,15 +498,13 @@ class Catalog:
         extend the chunk index. Returns the new ChunkRefs."""
         entry = self.entry(name)
         start = len(entry.chunk_index)
-        ids = [start + i for i in range(len(chunks))]
-        assignment = self.placement.assign(range(start + len(chunks)))
         refs = []
-        for cid, chunk in zip(ids, chunks):
+        for cid, chunk in enumerate(chunks, start):
             chunk.chunk_id = cid
             locator = str(self.data_dir / name / f"{cid}.chk")
             write_chunk(chunk, entry.schema, locator)
             refs.append(ChunkRef(cid, chunk.box, dict(chunk.zone_meta),
-                                 assignment[cid], locator))
+                                 cid % self.n_workers, locator))
         entry.chunk_index.extend(refs)
         return refs
 

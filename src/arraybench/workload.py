@@ -32,6 +32,7 @@ from .algebra import (
     BitPattern,
     NeighborhoodShape,
     Predicate,
+    _round_robin,
     apply_plus,
     filter as filter_op,
     rebox,
@@ -474,8 +475,7 @@ class Workload:
 
     def __init__(self, config: BenchConfig, data_dir):
         self.config = config
-        self.catalog = Catalog(data_dir, n_workers=config.n_workers,
-                               seed=config.seed)
+        self.catalog = Catalog(data_dir, n_workers=config.n_workers)
         try:
             self.catalog.load()
         except (OSError, CatalogError):
@@ -647,15 +647,12 @@ class Workload:
         gla = CookGLA(img, threshold, c.grid_extent, c.obs_max_bbox,
                       c.obs_max_poly_edges)
         nw = max(1, c.n_workers)
-        by_worker = {}
-        for i, ch in enumerate(chunks):
-            by_worker.setdefault(i % nw, []).append(ch)
+        by_worker = _round_robin(chunks, nw)
         if not by_worker:
             return []
         # Rotate the aggregation root across workers per image.
         tree = AggregationTree.star(nw, root=img % nw)
-        run = run_gla_chunks(self.images_schema(), by_worker, gla, tree,
-                             threads_per_worker=1)
+        run = run_gla_chunks(self.images_schema(), by_worker, gla, tree)
         return run.result
 
     def cook(self):

@@ -18,12 +18,10 @@ from arraybench import (
     SumGLA,
     cell_batch,
     make_sparse_chunk,
-    measure_merge_traffic,
     run_gla,
     run_gla_chunks,
-    run_gla_confined,
 )
-from arraybench.errors import ConfigError, ContractError
+from arraybench.errors import ConfigError
 from arraybench.gla import merge_traffic_bytes, reset_merge_traffic
 from tests.conftest import KINDS, make_extreme_2d
 from tests.test_storage import dense_schema, random_dense_chunk
@@ -197,7 +195,7 @@ class TestLifecycle:
         for i, c in enumerate(chunks):
             c.chunk_id = i
         run_gla_chunks(schema, {0: chunks}, Recorder(),
-                       AggregationTree.star(1), threads_per_worker=1)
+                       AggregationTree.star(1))
         begins = [e for e in events if e[0] == "begin"]
         ends = [e for e in events if e[0] == "end"]
         assert len(begins) == len(ends) == len(chunks)
@@ -253,7 +251,7 @@ class TestTraffic:
         by_worker = {w: chunks[w::nw] for w in range(nw)}
         tree = AggregationTree.chain(nw)
         run = run_gla_chunks(schema, by_worker, gla, tree)
-        traffic = measure_merge_traffic(run)
+        traffic = run.edge_bytes
         # One payload per non-root worker, along chain edges.
         assert set(traffic) == {(2, 1), (1, 0)}
         assert all(v > 0 for v in traffic.values())
@@ -311,17 +309,3 @@ class TestCatalogExecution:
         cat, schema, chunks = self._catalog(rng, tmp_path)
         run = run_gla(cat, "d", range(6), CountGLA())
         assert run.result == sum(c.valid_count for c in chunks)
-
-    def test_confined_execution(self, rng, tmp_path):
-        cat, schema, chunks = self._catalog(rng, tmp_path)
-        run = run_gla_confined(cat, "d", range(6), CountGLA())
-        # One local result per worker, no cross-worker traffic.
-        assert set(run.per_worker) == {0, 1, 2}
-        assert sum(run.per_worker.values()) == \
-            sum(c.valid_count for c in chunks)
-        assert run.cross_worker_bytes == 0
-
-    def test_confined_requires_local_terminate(self, rng, tmp_path):
-        cat, schema, chunks = self._catalog(rng, tmp_path)
-        with pytest.raises(ContractError):
-            run_gla_confined(cat, "d", range(6), SumGLA("v"))

@@ -1,4 +1,4 @@
-"""On-disk chunk format, chunking strategies, pruning, and the catalog."""
+"""On-disk chunk format, chunking, pruning, and the catalog."""
 
 import os
 import tempfile
@@ -13,9 +13,7 @@ from arraybench import (
     AttributeSpec,
     Box,
     Catalog,
-    ChunkingStrategy,
     DimensionSpec,
-    WorkerPlacement,
     chunk_array,
     make_dense_chunk,
     make_sparse_chunk,
@@ -91,8 +89,7 @@ class TestChunking:
         n = schema.box.volume
         grids = {"v": rng.integers(0, 100, n), "f": rng.normal(size=n)}
         valid = rng.random(n) < 0.7
-        chunks = chunk_array(schema, {**grids, "__valid__": valid},
-                             ChunkingStrategy.regular((4, 3)))
+        chunks = chunk_array(schema, {**grids, "__valid__": valid}, (4, 3))
         assert sum(c.box.volume for c in chunks) == n
         # Reassemble and compare against the source grids.
         vgrid = np.zeros(schema.box.extents, dtype=np.int64)
@@ -104,58 +101,23 @@ class TestChunking:
         assert np.array_equal(vgrid.ravel(), np.asarray(grids["v"]))
         assert np.array_equal(vmask.ravel(), valid)
 
-    def test_dense_requires_regular(self):
-        with pytest.raises(ConfigError):
-            chunk_array(dense_schema(), {}, ChunkingStrategy.irregular(10))
-
     def test_sparse_regular_drops_empty_tiles(self, rng):
         schema = sparse_schema()
         # All cells in one corner: only one populated tile survives.
         data = {"x": rng.integers(0, 10, 20), "y": rng.integers(0, 10, 20),
                 "v": rng.integers(0, 5, 20)}
-        chunks = chunk_array(schema, data, ChunkingStrategy.regular((50, 50)))
+        chunks = chunk_array(schema, data, (50, 50))
         assert len(chunks) == 1
         assert chunks[0].cell_count == 20
 
-    def test_irregular_target_bound(self, rng):
-        """Irregular chunking balances counts: every chunk holds at most the
-        target and (unless everything coincides) at least half of it on
-        average."""
-        schema = sparse_schema()
-        n = 1000
-        data = {"x": rng.integers(0, 100, n), "y": rng.integers(0, 100, n),
-                "v": rng.integers(0, 5, n)}
-        target = 100
-        chunks = chunk_array(schema, data, ChunkingStrategy.irregular(target))
-        assert sum(c.cell_count for c in chunks) == n
-        assert all(c.cell_count <= target for c in chunks)
-        avg = n / len(chunks)
-        assert avg >= target / 2
-
-    def test_irregular_boxes_disjoint(self, rng):
-        schema = sparse_schema()
-        n = 500
-        data = {"x": rng.integers(0, 100, n), "y": rng.integers(0, 100, n),
-                "v": np.arange(n)}
-        chunks = chunk_array(schema, data, ChunkingStrategy.irregular(60))
-        # Every cell in exactly one chunk.
-        seen = []
-        for c in chunks:
-            seen.extend(c.columns["v"].tolist())
-        assert sorted(seen) == list(range(n))
-
-    def test_irregular_coincident_cells(self):
-        schema = sparse_schema()
-        data = {"x": np.full(10, 5), "y": np.full(10, 5),
-                "v": np.arange(10)}
-        chunks = chunk_array(schema, data, ChunkingStrategy.irregular(3))
-        assert sum(c.cell_count for c in chunks) == 10
-
-    def test_bad_strategies_rejected(self):
+    def test_bad_strategies_rejected(self, rng):
+        schema = dense_schema()
+        n = schema.box.volume
+        data = {"v": rng.integers(0, 100, n), "f": rng.normal(size=n)}
         with pytest.raises(ConfigError):
-            ChunkingStrategy.regular((0, 5))
+            chunk_array(schema, data, (0, 5))
         with pytest.raises(ConfigError):
-            ChunkingStrategy.irregular(0)
+            chunk_array(schema, data, (5,))
 
 
 class TestChunkFileFormat:
@@ -389,21 +351,19 @@ class TestBoxedRead:
 
 
 class TestPlacement:
-    def test_round_robin_balance(self):
-        p = WorkerPlacement(4, "round_robin")
-        a = p.assign(range(100))
-        counts = [sum(1 for w in a.values() if w == k) for k in range(4)]
-        assert counts == [25, 25, 25, 25]
-
-    def test_random_is_seeded(self):
-        a = WorkerPlacement(4, "random", seed=7).assign(range(50))
-        b = WorkerPlacement(4, "random", seed=7).assign(range(50))
-        assert a == b
-        assert all(0 <= w < 4 for w in a.values())
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ConfigError):
-            WorkerPlacement(2, "hash").assign(range(3))
+    def test_round_robin_balance(self, rng, tmp_path):
+        """Chunk ids continue across ``add_chunks`` calls, and so does the
+        round-robin placement."""
+        cat = Catalog(tmp_path, n_workers=4)
+        schema = dense_schema()
+        cat.create_array(schema)
+        first = cat.add_chunks("d", [random_dense_chunk(rng) for _ in range(5)])
+        second = cat.add_chunks("d", [random_dense_chunk(rng) for _ in range(7)])
+        refs = first + second
+        assert [r.chunk_id for r in refs] == list(range(12))
+        assert all(r.worker_id == r.chunk_id % 4 for r in refs)
+        counts = [sum(1 for r in refs if r.worker_id == k) for k in range(4)]
+        assert counts == [3, 3, 3, 3]
 
 
 class TestCatalog:
@@ -446,7 +406,7 @@ class TestCatalog:
         cat.create_array(schema)
         cat.add_chunks("f", chunk_array(
             schema, {"a": np.arange(10.0), "b": np.arange(10)},
-            ChunkingStrategy.regular((5,))))
+            (5,)))
         cat.save()
         manifest = tmp_path / "f" / "manifest.txt"
         text = manifest.read_text()
