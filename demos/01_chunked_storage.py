@@ -19,6 +19,7 @@ from arraybench import (
     Catalog,
     DimensionSpec,
     chunk_array,
+    metered,
 )
 
 rng = np.random.default_rng(7)
@@ -42,7 +43,7 @@ print(f"array {schema.name}: {n} cells -> {len(chunks)} chunks of 50x50")
 print(f"first chunk zones: {chunks[0].zone_meta}")
 
 with tempfile.TemporaryDirectory() as d:
-    catalog = Catalog(d, n_workers=4)
+    catalog = Catalog(d)
     catalog.create_array(schema)
     catalog.add_chunks("sensor", chunks)
     catalog.save()
@@ -60,10 +61,12 @@ with tempfile.TemporaryDirectory() as d:
     print(f"temp in [115, 200] -> {len(hot)} candidate chunks")
 
     # Selective reads: asking for one column skips the payload bytes of
-    # every other column.
-    full = catalog.read("sensor", hits[0])
-    one = catalog.read("sensor", hits[0], columns=["temp"])
+    # every other column. A meter counts the reads made inside it.
+    with metered() as meter:
+        full = catalog.read("sensor", hits[0])
+        one = catalog.read("sensor", hits[0], columns=["temp"])
     print(f"\nfull read of chunk {hits[0]}: {full.bytes_read} bytes")
     print(f"temp-only read:          {one.bytes_read} bytes "
           f"(saved {full.bytes_read - one.bytes_read})")
-    print(f"catalog totals: {catalog.io.snapshot()}")
+    print(f"metered totals: {meter.chunks_read} chunks, "
+          f"{meter.bytes_read} bytes")

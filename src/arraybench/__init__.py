@@ -49,6 +49,7 @@ from .gla import (
     run_gla,
     run_gla_chunks,
 )
+from .meter import Meter, metered
 from .model import (
     ArraySchema,
     AttributeSpec,
@@ -72,7 +73,6 @@ from .plans import (
 )
 from .storage import (
     Catalog,
-    IOStats,
     chunk_array,
     read_chunk,
     tile_box,

@@ -23,6 +23,7 @@ from .gla import (
     AggregationTree,
     CellBatch,
     GroupStates,
+    _round_robin,
     _unique_rows,
     cell_batch,
     run_gla_chunks,
@@ -77,22 +78,20 @@ class Array:
 
 
 def dense_array(schema: ArraySchema, data: dict, chunk_shape=None) -> Array:
-    """Build a dense in-memory array from row-major columns over the schema
-    box (``__valid__`` optional)."""
+    """Build an in-memory array from ``data`` as ``chunk_array`` takes it
+    (one chunk over the schema box by default). Dense arrays take
+    row-major columns over the schema box (``__valid__`` optional), sparse
+    ones a column per dimension and attribute."""
     from .storage import chunk_array
 
     shape = chunk_shape or schema.box.extents
     return Array(schema, chunk_array(schema, data, shape))
 
 
-def sparse_array(schema: ArraySchema, data: dict, chunk_shape=None) -> Array:
-    from .storage import chunk_array
-
-    shape = chunk_shape or schema.box.extents
-    return Array(schema, chunk_array(schema, data, shape))
+sparse_array = dense_array
 
 
-def materialize(array: Array, attr: str, default=0):
+def materialize(array: Array, attr: str):
     """Assemble one attribute into a full numpy grid over the array box,
     plus the validity grid. Intended for tests and small arrays."""
     grid, valid = gather_region(array, array.box, [attr])
@@ -624,11 +623,6 @@ class _GroupByGLA(GLA):
 
     def terminate(self, state):
         return GroupStates.union(state) if state else None
-
-
-def _round_robin(chunks, n_workers):
-    n = max(1, n_workers)
-    return {w: chunks[w::n] for w in range(min(n, len(chunks)))}
 
 
 def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, DependencyError, EngineError, PlanError
-from .gla import merge_traffic_bytes, reset_merge_traffic
+from .meter import metered
 from .plans import RunReport, StageMetrics, execute_plan, parse_plan, \
     result_digest
 from .storage import Catalog
@@ -90,40 +90,36 @@ def _query_params(cfg: BenchConfig, query: str, config_idx: int) -> dict:
 
 def _run_query_phase(workload: Workload, query: str,
                      param_configs: int, repetitions: int) -> StageMetrics:
+    """Time every repetition; count reads and merges over each
+    configuration's first one, whose results the others must reproduce."""
     cfg = workload.config
     fn = getattr(workload, query)
     total_seconds = 0.0
-    chunks = bytes_read = 0
-    merge_total = 0
+    chunks = bytes_read = merge = 0
     results = []
     for ci in range(param_configs):
         params = _query_params(cfg, query, ci)
         times = []
-        config_results = None
+        config_digest = None
         for _ in range(repetitions):
-            reset_merge_traffic()
             start = time.perf_counter()
-            rep_results = []
-            rep_chunks = rep_bytes = 0
-            for cycle in range(cfg.n_cycles):
-                value, stats = fn(cycle, **params)
-                rep_results.append(value)
-                rep_chunks += stats.chunks_read
-                rep_bytes += stats.bytes_read
+            with metered() as meter:
+                runs = [fn(cycle, **params) for cycle in range(cfg.n_cycles)]
             times.append(time.perf_counter() - start)
-            merge_total += merge_traffic_bytes()
-            if config_results is None:
-                config_results = rep_results
-                chunks += rep_chunks
-                bytes_read += rep_bytes
-            elif result_digest(rep_results) != result_digest(config_results):
+            rep_results = [value for value, _ in runs]
+            if config_digest is None:
+                config_digest = result_digest(rep_results)
+                results.append(rep_results)
+                chunks += sum(stats.chunks_read for _, stats in runs)
+                bytes_read += sum(stats.bytes_read for _, stats in runs)
+                merge += meter.merge_bytes
+            elif result_digest(rep_results) != config_digest:
                 raise EngineError(
                     f"{query}: nondeterministic result across repetitions")
         total_seconds += sum(times) / len(times)
-        results.append(config_results)
     return StageMetrics(name=query, seconds=total_seconds,
                         chunks_read=chunks, bytes_read=bytes_read,
-                        merge_bytes=merge_total,
+                        merge_bytes=merge,
                         digest=result_digest(results),
                         extra={"param_configs": param_configs,
                                "repetitions": repetitions})
@@ -149,13 +145,13 @@ def run_benchmark(config: BenchConfig, data_dir, phases=None,
                 name="load", seconds=time.perf_counter() - start,
                 extra={"image_chunks": n_chunks}))
         elif phase == "cook":
-            reset_merge_traffic()
             start = time.perf_counter()
-            workload.cook()
+            with metered() as meter:
+                workload.cook()
             n_obs = sum(len(v) for v in workload.observations.values())
             report.stages.append(StageMetrics(
                 name="cook", seconds=time.perf_counter() - start,
-                merge_bytes=merge_traffic_bytes(),
+                merge_bytes=meter.merge_bytes,
                 digest=result_digest(
                     [workload.observations[i]
                      for i in sorted(workload.observations)]),
@@ -210,7 +206,7 @@ def main(argv=None) -> int:
     try:
         config = BenchConfig.from_mapping(mapping)
         if args.plan:
-            catalog = Catalog(args.data_dir, n_workers=config.n_workers)
+            catalog = Catalog(args.data_dir)
             catalog.load()
             with open(args.plan, encoding="utf-8") as f:
                 plan = parse_plan(f.read())

@@ -4,7 +4,8 @@ A user aggregate is a state plus a lifecycle: per-chunk bracketing
 (begin/end), accumulation over the chunk's valid cells, associative and
 commutative merging of partial states, and a final terminate. Workers are
 simulated in-process, but state never crosses a worker boundary except as
-serialized bytes, and the per-edge byte traffic is recorded.
+serialized bytes; the per-edge byte traffic is recorded on the run and
+added to the current meter.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .meter import record
 from .model import DENSE, Chunk
 
 # ---------------------------------------------------------------------------
@@ -524,23 +526,27 @@ def _fold_worker(gla, schema, chunks, run, lock):
     return state
 
 
+def _round_robin(chunks, n_workers):
+    """Deal chunk ``i`` to worker ``i % n_workers``; workers without chunks
+    are left out."""
+    n = max(1, n_workers)
+    return {w: chunks[w::n] for w in range(min(n, len(chunks)))}
+
+
 def run_gla(catalog, name, chunk_ids, gla: GLA, tree: AggregationTree | None = None,
-            columns=None) -> GLARun:
+            columns=None, *, n_workers: int = 1) -> GLARun:
     """Execute an aggregate over the named chunks.
 
-    Chunks go to the worker the catalog placed them on. Each worker folds
-    its chunks in order, then states ascend the tree as serialized bytes;
-    terminate runs once at the root. The result is independent of chunk
-    order and tree shape for any law-abiding aggregate.
+    The chunks are read in the caller's thread and dealt to ``n_workers``
+    workers by list position. Each worker folds its chunks in order, then
+    states ascend the tree as serialized bytes; terminate runs once at the
+    root. The result is independent of chunk order and tree shape for any
+    law-abiding aggregate.
     """
-    entry = catalog.entry(name)
-    by_worker = {}
-    for cid in chunk_ids:
-        ref = entry.ref(cid)
-        by_worker.setdefault(ref.worker_id, []).append(
-            catalog.read(name, cid, columns=columns))
-    tree = tree or AggregationTree.balanced_binary(catalog.n_workers)
-    return run_gla_chunks(entry.schema, by_worker, gla, tree)
+    chunks = [catalog.read(name, cid, columns=columns) for cid in chunk_ids]
+    tree = tree or AggregationTree.balanced_binary(max(1, n_workers))
+    return run_gla_chunks(catalog.entry(name).schema,
+                          _round_robin(chunks, n_workers), gla, tree)
 
 
 def run_gla_chunks(schema, chunks_by_worker: dict, gla: GLA,
@@ -574,28 +580,6 @@ def run_gla_chunks(schema, chunks_by_worker: dict, gla: GLA,
 
     root_state = states.get(tree.root, gla.init())
     run.result = gla.terminate(root_state)
-    _record_traffic(run.cross_worker_bytes)
+    record(merge_bytes=run.cross_worker_bytes)
     return run
 
-
-# Process-wide merge-traffic accounting, so report code can attribute
-# cross-worker bytes to the operators that ran between reset and read.
-_traffic_lock = threading.Lock()
-_traffic_bytes = 0
-
-
-def reset_merge_traffic():
-    global _traffic_bytes
-    with _traffic_lock:
-        _traffic_bytes = 0
-
-
-def merge_traffic_bytes() -> int:
-    with _traffic_lock:
-        return _traffic_bytes
-
-
-def _record_traffic(nbytes: int):
-    global _traffic_bytes
-    with _traffic_lock:
-        _traffic_bytes += nbytes

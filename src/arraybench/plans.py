@@ -30,7 +30,7 @@ from .algebra import (
     apply_plus,
 )
 from .errors import PlanError
-from .gla import merge_traffic_bytes, reset_merge_traffic
+from .meter import metered
 from .model import Box
 from .workload import Observation
 
@@ -417,36 +417,23 @@ def execute_plan(plan: PlanScript, catalog, n_workers: int = 1):
     stage per node plus a 'plan' total carrying the root digest."""
     report = RunReport()
     env = {}
-    catalog.io.reset()
-    reset_merge_traffic()
     total_start = time.perf_counter()
-    prev = catalog.io.snapshot()
-    prev_merge = 0
-    for node in plan.nodes:
-        start = time.perf_counter()
-        try:
-            env[node.node_id] = _exec_node(node, env, catalog, n_workers)
-        except PlanError:
-            raise
-        except Exception as exc:
-            raise PlanError(
-                f"node {node.node_id!r} failed: {exc}", node.line) from exc
-        snap = catalog.io.snapshot()
-        merge = merge_traffic_bytes()
-        report.stages.append(StageMetrics(
-            name=node.node_id,
-            seconds=time.perf_counter() - start,
-            chunks_read=snap["chunks_read"] - prev["chunks_read"],
-            bytes_read=snap["bytes_read"] - prev["bytes_read"],
-            merge_bytes=merge - prev_merge))
-        prev, prev_merge = snap, merge
+    with metered() as total:
+        for node in plan.nodes:
+            start = time.perf_counter()
+            with metered() as m:
+                try:
+                    env[node.node_id] = _exec_node(node, env, catalog,
+                                                   n_workers)
+                except PlanError:
+                    raise
+                except Exception as exc:
+                    raise PlanError(f"node {node.node_id!r} failed: {exc}",
+                                    node.line) from exc
+            report.stages.append(StageMetrics(
+                node.node_id, time.perf_counter() - start, **vars(m)))
     result = env[plan.root]
-    snap = catalog.io.snapshot()
     report.stages.append(StageMetrics(
-        name="plan",
-        seconds=time.perf_counter() - total_start,
-        chunks_read=snap["chunks_read"],
-        bytes_read=snap["bytes_read"],
-        merge_bytes=merge_traffic_bytes(),
+        "plan", time.perf_counter() - total_start, **vars(total),
         digest=result_digest(result)))
     return result, report

@@ -28,7 +28,8 @@ import itertools
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .gla import GLA, AggregationTree, CellBatch, GroupStates, run_gla_chunks
+from .gla import GLA, AggregationTree, CellBatch, GroupStates, \
+    _round_robin, run_gla_chunks
 from .model import (
     DENSE,
     SPARSE,
@@ -383,7 +384,7 @@ def apply_plus(array, shape, origins, agg, boundary: str = "merge",
     name -> bit pattern. ``agg`` is one AggregateFn or a list of them;
     ``boundary`` selects the merge or overlap strategy (identical results).
     """
-    from .algebra import _normalize_aggs, _round_robin
+    from .algebra import _normalize_aggs
 
     aggs = _normalize_aggs(agg)
     for a in aggs:

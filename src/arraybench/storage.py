@@ -5,15 +5,14 @@ One file per chunk under ``<data_dir>/<array>/<chunk_id>.chk``; each array
 also has a text manifest listing its schema and chunk index. Reads fetch
 only the requested column blocks, and for a dense chunk read with a query
 box only the band of rows that the box covers, plus the matching bytes of
-the validity bitmap. All reads go through a byte counter so I/O claims are
-testable.
+the validity bitmap. Every read counts its chunk and bytes into the
+enclosing ``metered()`` measurement, so I/O claims are testable.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .errors import (
     FormatError,
     SchemaError,
 )
+from .meter import record
 from .model import (
     DENSE,
     SPARSE,
@@ -195,7 +195,7 @@ class _CountingFile:
 
 
 def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
-               io_stats=None, box: Box | None = None) -> Chunk:
+               box: Box | None = None) -> Chunk:
     """Read a chunk file, materializing only the requested column blocks.
 
     ``columns`` may name attributes and (for dense chunks) dimensions;
@@ -215,7 +215,8 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
     ``None`` reads the whole chunk.
 
     ``bytes_read`` counts the bytes actually read: the header, the bitmap
-    slice, each column's length prefix, and each wanted column's band.
+    slice, each column's length prefix, and each wanted column's band. The
+    read also adds one chunk and those bytes to the current meter.
     """
     if columns is not None:
         known = set(schema.dim_names) | set(schema.attr_names)
@@ -229,9 +230,8 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
     with raw:
         f = _CountingFile(raw)
         chunk = _read_chunk_body(f, schema, columns, chunk_id, locator, box)
-    if io_stats is not None:
-        io_stats.add_read(f.bytes_read)
     chunk.bytes_read = f.bytes_read
+    record(chunks_read=1, bytes_read=f.bytes_read)
     return chunk
 
 
@@ -375,7 +375,6 @@ class ChunkRef:
     chunk_id: int
     box: Box
     zone_meta: dict
-    worker_id: int
     locator: str
 
 
@@ -389,29 +388,6 @@ class CatalogEntry:
             if r.chunk_id == chunk_id:
                 return r
         raise CatalogError(f"array {self.schema.name}: no chunk {chunk_id}")
-
-
-class IOStats:
-    """Thread-safe read accounting."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.bytes_read = 0
-        self.chunks_read = 0
-
-    def reset(self):
-        with self._lock:
-            self.bytes_read = 0
-            self.chunks_read = 0
-
-    def add_read(self, nbytes):
-        with self._lock:
-            self.bytes_read += nbytes
-            self.chunks_read += 1
-
-    def snapshot(self):
-        with self._lock:
-            return {"bytes_read": self.bytes_read, "chunks_read": self.chunks_read}
 
 
 def prune(entry: CatalogEntry, query_box: Box | None = None,
@@ -454,15 +430,14 @@ def _parse_zone(text: str, kind: str | None, path) -> tuple:
 
 
 class Catalog:
-    """Directory-backed array catalog; chunk ``i`` of an array is placed on
-    worker ``i % n_workers``."""
+    """Directory-backed array catalog: schemas, chunk files and their zone
+    maps. Operators deal the chunks they read to workers by list
+    position."""
 
-    def __init__(self, data_dir, n_workers: int = 1):
+    def __init__(self, data_dir):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
-        self.n_workers = n_workers
         self.arrays: dict[str, CatalogEntry] = {}
-        self.io = IOStats()
 
     # -- registration -----------------------------------------------------
 
@@ -494,8 +469,8 @@ class Catalog:
             manifest.unlink()
 
     def add_chunks(self, name: str, chunks) -> list:
-        """Write chunks, assign sequential ids and worker placement, and
-        extend the chunk index. Returns the new ChunkRefs."""
+        """Write chunks, assign sequential ids, and extend the chunk index.
+        Returns the new ChunkRefs."""
         entry = self.entry(name)
         start = len(entry.chunk_index)
         refs = []
@@ -504,7 +479,7 @@ class Catalog:
             locator = str(self.data_dir / name / f"{cid}.chk")
             write_chunk(chunk, entry.schema, locator)
             refs.append(ChunkRef(cid, chunk.box, dict(chunk.zone_meta),
-                                 cid % self.n_workers, locator))
+                                 locator))
         entry.chunk_index.extend(refs)
         return refs
 
@@ -527,7 +502,7 @@ class Catalog:
             boxs = ",".join(f"{l}:{h}" for l, h in ref.box.ranges())
             zones = ";".join(f"{n}={ref.zone_meta[n][0]}:{ref.zone_meta[n][1]}"
                              for n in order if n in ref.zone_meta)
-            lines.append(f"chunk {ref.chunk_id} {ref.worker_id} "
+            lines.append(f"chunk {ref.chunk_id} "
                          f"{os.path.basename(ref.locator)} box={boxs} zones={zones}")
         path = self.data_dir / name / "manifest.txt"
         path.write_text("\n".join(lines) + "\n")
@@ -560,9 +535,11 @@ class Catalog:
             elif tok[0] == "origin":
                 origin = tuple(int(v) for v in tok[1:])
             elif tok[0] == "chunk":
-                cid, worker = int(tok[1]), int(tok[2])
-                locator = str(path.parent / tok[3])
-                fields = dict(t.split("=", 1) for t in tok[4:])
+                # The id comes first and the file last; older catalogs
+                # hold a worker id between them.
+                pos = [t for t in tok[1:] if "=" not in t]
+                cid, locator = int(pos[0]), str(path.parent / pos[-1])
+                fields = dict(t.split("=", 1) for t in tok[1:] if "=" in t)
                 ranges = [tuple(int(v) for v in r.split(":"))
                           for r in fields["box"].split(",")]
                 box = Box.of(*ranges)
@@ -572,7 +549,7 @@ class Catalog:
                         continue
                     zname, zrange = z.split("=", 1)
                     zones[zname] = _parse_zone(zrange, kinds.get(zname), path)
-                refs.append(ChunkRef(cid, box, zones, worker, locator))
+                refs.append(ChunkRef(cid, box, zones, locator))
         schema = ArraySchema(name, tuple(dims), tuple(attrs), density, origin)
         return CatalogEntry(schema, refs)
 
@@ -585,7 +562,7 @@ class Catalog:
         entry = self.entry(name)
         ref = entry.ref(chunk_id)
         return read_chunk(ref.locator, entry.schema, columns=columns,
-                          chunk_id=chunk_id, io_stats=self.io, box=box)
+                          chunk_id=chunk_id, box=box)
 
     def prune(self, name: str, query_box=None, predicate=None) -> list:
         return prune(self.entry(name), query_box, predicate)

@@ -21,7 +21,6 @@ cycle, with an attachment radius that widens linearly with the time gap.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +31,6 @@ from .algebra import (
     BitPattern,
     NeighborhoodShape,
     Predicate,
-    _round_robin,
     apply_plus,
     filter as filter_op,
     rebox,
@@ -41,7 +39,8 @@ from .algebra import (
     shift,
 )
 from .errors import ConfigError, DependencyError, EngineError, CatalogError
-from .gla import GLA, AggregationTree, run_gla_chunks
+from .gla import GLA, AggregationTree, _round_robin, run_gla_chunks
+from .meter import metered
 from .model import (
     INT64_MAX,
     ArraySchema,
@@ -475,7 +474,7 @@ class Workload:
 
     def __init__(self, config: BenchConfig, data_dir):
         self.config = config
-        self.catalog = Catalog(data_dir, n_workers=config.n_workers)
+        self.catalog = Catalog(data_dir)
         try:
             self.catalog.load()
         except (OSError, CatalogError):
@@ -736,7 +735,8 @@ class Workload:
         self.catalog.create_array(self.group_center_schema())
         self.catalog.create_array(self.group_center_img_schema())
 
-        def run_cycle(cycle):
+        self.groups = {}
+        for cycle in range(c.n_cycles):
             centers_by_img = {}
             for img in c.cycle_images(cycle):
                 chunk = self.catalog.read("obs_center", img)
@@ -746,14 +746,9 @@ class Workload:
                         chunk.dim_columns["y"].tolist())))
                 centers_by_img[img] = [(oid, (float(x), float(y)))
                                        for oid, (x, y) in pairs]
-            return group_cycle(cycle, centers_by_img, c.group_radius,
-                               c.group_time_weight, c.cycle_size)
-
-        # Cycles are independent: run them across the worker pool.
-        with ThreadPoolExecutor(max_workers=max(1, c.n_workers)) as pool:
-            results = list(pool.map(run_cycle, range(c.n_cycles)))
-
-        self.groups = dict(enumerate(results))
+            self.groups[cycle] = group_cycle(
+                cycle, centers_by_img, c.group_radius, c.group_time_weight,
+                c.cycle_size)
         self.obs_to_group = {}
         gc_schema = self.group_center_schema()
         gci_schema = self.group_center_img_schema()
@@ -799,12 +794,9 @@ class Workload:
     # -- measurement helper -----------------------------------------------
 
     def _measured(self, fn, candidates=0):
-        self.catalog.io.reset()
-        value = fn()
-        snap = self.catalog.io.snapshot()
-        return value, QueryStats(chunks_read=snap["chunks_read"],
-                                 bytes_read=snap["bytes_read"],
-                                 candidates=candidates)
+        with metered() as m:
+            value = fn()
+        return value, QueryStats(m.chunks_read, m.bytes_read, candidates)
 
     def _clip(self, name: str, box: Box) -> Box:
         schema = self.catalog.entry(name).schema

@@ -13,8 +13,8 @@ from arraybench.cli import (
     read_config_file,
     run_benchmark,
 )
-from arraybench.errors import ConfigError
-from arraybench.workload import BenchConfig
+from arraybench.errors import ConfigError, EngineError
+from arraybench.workload import BenchConfig, QueryStats, Workload
 from tests.test_workload import SMALL, small_config
 
 
@@ -106,6 +106,30 @@ class TestRunBenchmark:
             if s.digest:
                 assert r2.stage(s.name).digest == s.digest
                 assert r3.stage(s.name).digest == s.digest
+
+    def test_repetition_with_another_result_raises(self, tmp_path,
+                                                   monkeypatch):
+        n_cycles = small_config().n_cycles
+        calls = []
+
+        def q1(self, cycle, **params):
+            calls.append(cycle)
+            # The second repetition returns another value.
+            return {"result": len(calls) > n_cycles}, QueryStats()
+        monkeypatch.setattr(Workload, "q1", q1)
+        with pytest.raises(EngineError, match="nondeterministic"):
+            run_benchmark(small_config(), tmp_path, phases=["q1"],
+                          param_configs=1, repetitions=2)
+        assert len(calls) == 2 * n_cycles
+
+    def test_counts_come_from_the_first_repetition(self, tmp_path):
+        once = run_benchmark(small_config(), tmp_path, phases=["load", "q1"],
+                             param_configs=1, repetitions=1).stage("q1")
+        twice = run_benchmark(small_config(), tmp_path, phases=["q1"],
+                              param_configs=1, repetitions=2).stage("q1")
+        assert once.merge_bytes > 0
+        assert (twice.chunks_read, twice.bytes_read, twice.merge_bytes) == \
+            (once.chunks_read, once.bytes_read, once.merge_bytes)
 
     def test_defaults_match_flags(self):
         assert PARAM_CONFIGS == 5 and REPETITIONS == 10

@@ -18,11 +18,11 @@ from arraybench import (
     SumGLA,
     cell_batch,
     make_sparse_chunk,
+    metered,
     run_gla,
     run_gla_chunks,
 )
 from arraybench.errors import ConfigError
-from arraybench.gla import merge_traffic_bytes, reset_merge_traffic
 from tests.conftest import KINDS, make_extreme_2d
 from tests.test_storage import dense_schema, random_dense_chunk
 
@@ -268,14 +268,22 @@ class TestTraffic:
                              AggregationTree.star(1))
         assert run.cross_worker_bytes == 0
 
-    def test_process_wide_accounting(self, rng):
+    def test_merge_bytes_reach_enclosing_meters(self, rng):
         schema, chunks = make_chunks(rng, 4)
-        reset_merge_traffic()
-        run = run_gla_chunks(schema, {0: chunks[:2], 1: chunks[2:]},
-                             SumGLA("v"), AggregationTree.star(2))
-        assert merge_traffic_bytes() == run.cross_worker_bytes > 0
-        reset_merge_traffic()
-        assert merge_traffic_bytes() == 0
+        tree = AggregationTree.star(2)
+        with metered() as outer:
+            first = run_gla_chunks(schema, {0: chunks[:1], 1: chunks[1:]},
+                                   SumGLA("v"), tree)
+            with metered() as inner:
+                second = run_gla_chunks(schema, {0: chunks[:2], 1: chunks[2:]},
+                                        SumGLA("v"), tree)
+            # The inner meter sees only its own run, and passes it out.
+            assert inner.merge_bytes == second.cross_worker_bytes > 0
+            assert outer.merge_bytes == \
+                first.cross_worker_bytes + second.cross_worker_bytes
+        with metered() as fresh:
+            pass
+        assert fresh.merge_bytes == 0
 
     def test_payloads_are_bytes(self, rng):
         """State crosses workers only as serialized bytes."""
@@ -297,8 +305,8 @@ class TestTraffic:
 
 
 class TestCatalogExecution:
-    def _catalog(self, rng, tmp_path, nw=3):
-        cat = Catalog(tmp_path, n_workers=nw)
+    def _catalog(self, rng, tmp_path):
+        cat = Catalog(tmp_path)
         schema = dense_schema()
         cat.create_array(schema)
         chunks = [random_dense_chunk(rng) for _ in range(6)]
@@ -307,5 +315,7 @@ class TestCatalogExecution:
 
     def test_run_gla_from_catalog(self, rng, tmp_path):
         cat, schema, chunks = self._catalog(rng, tmp_path)
-        run = run_gla(cat, "d", range(6), CountGLA())
+        run = run_gla(cat, "d", range(6), CountGLA(), n_workers=3)
         assert run.result == sum(c.valid_count for c in chunks)
+        # Three workers hold chunks; both non-root ones ship a state.
+        assert set(run.edge_bytes) == {(1, 0), (2, 0)}

@@ -20,7 +20,7 @@ from tests.conftest import array_cells_sorted, make_dense_2d, make_sparse_2d
 
 @pytest.fixture
 def catalog(rng, tmp_path):
-    cat = Catalog(tmp_path, n_workers=2)
+    cat = Catalog(tmp_path)
     arr, grids, valid = make_dense_2d(rng, 16, 16, chunk_shape=(4, 4),
                                       valid_prob=0.9, name="grid")
     cat.create_array(arr.schema)

@@ -18,6 +18,7 @@ from arraybench import (
     make_dense_chunk,
     make_sparse_chunk,
     materialize,
+    metered,
     read_chunk,
     rebox,
     rebox_stored,
@@ -339,10 +340,9 @@ class TestBoxedRead:
         cat = Catalog(tmp_path)
         cat.create_array(arr.schema)
         (ref,) = cat.add_chunks("a", arr.chunks)
-        cat.io.reset()
-        out = rebox_stored(cat, "a", Box((30, 30), (32, 32)))
-        assert cat.io.snapshot()["bytes_read"] <= \
-            os.path.getsize(ref.locator) / 10
+        with metered() as meter:
+            out = rebox_stored(cat, "a", Box((30, 30), (32, 32)))
+        assert meter.bytes_read <= os.path.getsize(ref.locator) / 10
         sl = (slice(30, 33), slice(30, 33))
         for a in ("a0", "a1"):
             got, gvalid = materialize(out, a)
@@ -352,18 +352,14 @@ class TestBoxedRead:
 
 class TestPlacement:
     def test_round_robin_balance(self, rng, tmp_path):
-        """Chunk ids continue across ``add_chunks`` calls, and so does the
-        round-robin placement."""
-        cat = Catalog(tmp_path, n_workers=4)
+        """Chunk ids continue across ``add_chunks`` calls."""
+        cat = Catalog(tmp_path)
         schema = dense_schema()
         cat.create_array(schema)
         first = cat.add_chunks("d", [random_dense_chunk(rng) for _ in range(5)])
         second = cat.add_chunks("d", [random_dense_chunk(rng) for _ in range(7)])
         refs = first + second
         assert [r.chunk_id for r in refs] == list(range(12))
-        assert all(r.worker_id == r.chunk_id % 4 for r in refs)
-        counts = [sum(1 for r in refs if r.worker_id == k) for k in range(4)]
-        assert counts == [3, 3, 3, 3]
 
 
 class TestCatalog:
@@ -382,21 +378,50 @@ class TestCatalog:
         return schema
 
     def test_save_load_round_trip(self, rng, tmp_path):
-        cat = Catalog(tmp_path, n_workers=3)
+        cat = Catalog(tmp_path)
         self._populate(cat, rng)
         cat.save()
-        cat2 = Catalog(tmp_path, n_workers=3)
+        cat2 = Catalog(tmp_path)
         cat2.load()
         e1, e2 = cat.entry("s"), cat2.entry("s")
         assert e1.schema == e2.schema
         assert len(e1.chunk_index) == len(e2.chunk_index)
         for r1, r2 in zip(e1.chunk_index, e2.chunk_index):
-            assert (r1.chunk_id, r1.box, r1.worker_id) == \
-                (r2.chunk_id, r2.box, r2.worker_id)
+            assert (r1.chunk_id, r1.box) == (r2.chunk_id, r2.box)
             assert r1.zone_meta == r2.zone_meta
         c1 = cat.read("s", 2)
         c2 = cat2.read("s", 2)
         assert np.array_equal(c1.columns["v"], c2.columns["v"])
+
+    def test_manifest_with_worker_column_loads(self, rng, tmp_path):
+        """Catalogs written when chunk lines carried a worker id after the
+        chunk id load with the same refs, pruning and reads."""
+        cat = Catalog(tmp_path)
+        self._populate(cat, rng)
+        cat.save()
+        manifest = tmp_path / "s" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        old = []
+        for line in lines:
+            tok = line.split(" ")
+            if tok[0] == "chunk":
+                tok.insert(2, str(int(tok[1]) % 3))
+            old.append(" ".join(tok))
+        assert old != lines
+        manifest.write_text("\n".join(old) + "\n")
+        cat2 = Catalog(tmp_path)
+        cat2.load()
+        assert cat2.entry("s") == cat.entry("s")
+        box = Box((10, 0), (40, 50))
+        assert cat2.prune("s", box, {"v": (10, 24)}) == \
+            cat.prune("s", box, {"v": (10, 24)}) == [1, 2]
+        for ref in cat.entry("s").chunk_index:
+            c1, c2 = cat.read("s", ref.chunk_id), cat2.read("s", ref.chunk_id)
+            assert c1.bytes_read == c2.bytes_read
+            for name in ("x", "y"):
+                assert np.array_equal(c1.dim_columns[name],
+                                      c2.dim_columns[name])
+            assert np.array_equal(c1.columns["v"], c2.columns["v"])
 
     def test_manifest_zones_typed_from_schema(self, tmp_path):
         schema = ArraySchema("f", (DimensionSpec("x", 0, 9),),
@@ -459,12 +484,11 @@ class TestCatalog:
     def test_io_accounting(self, rng, tmp_path):
         cat = Catalog(tmp_path)
         self._populate(cat, rng)
-        cat.io.reset()
-        cat.read("s", 0)
-        cat.read("s", 1)
-        snap = cat.io.snapshot()
-        assert snap["chunks_read"] == 2
-        assert snap["bytes_read"] > 0
+        with metered() as meter:
+            c0 = cat.read("s", 0)
+            c1 = cat.read("s", 1)
+        assert meter.chunks_read == 2
+        assert meter.bytes_read == c0.bytes_read + c1.bytes_read > 0
 
     def test_unknown_array_and_chunk(self, tmp_path):
         cat = Catalog(tmp_path)

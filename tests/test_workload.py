@@ -1,5 +1,8 @@
 """The image benchmark workload: generation, cooking, grouping, queries."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from arraybench import (
     desk_config,
     group_cycle,
     make_dense_chunk,
+    storage,
 )
 from arraybench.errors import ConfigError, DependencyError
 from arraybench.gla import run_gla_chunks
@@ -475,6 +479,43 @@ class TestQueries:
         per_chunk = stats.bytes_read / stats.chunks_read
         full_chunk = c.chunk_side ** 2 * 8 * N_VALUES
         assert per_chunk < full_chunk / 5
+
+    def test_q9_stats_count_every_read(self, cooked, monkeypatch):
+        """q9 runs q5 inside its own measurement; q5's measurement must
+        not hide q9's reads."""
+        calls = []
+        real = storage.read_chunk
+
+        def counting(*args, **kwargs):
+            chunk = real(*args, **kwargs)
+            calls.append(chunk.bytes_read)
+            return chunk
+        monkeypatch.setattr(storage, "read_chunk", counting)
+        _value, stats = cooked.q9(0)
+        assert stats.chunks_read == len(calls) > 0
+        assert stats.bytes_read == sum(calls)
+
+    def test_concurrent_queries_keep_their_own_counts(self, cooked):
+        _value, solo = cooked.q1(0)
+        assert solo.chunks_read > 0
+        seen = []
+
+        def client():
+            for _ in range(50):
+                seen.append(cooked.q1(0)[1])
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 100
+        assert all(stats == solo for stats in seen)
 
     def test_q2_matches_full_cook_when_unrestricted(self, cooked):
         c = cooked.config
