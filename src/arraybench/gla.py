@@ -10,6 +10,7 @@ added to the current meter.
 
 from __future__ import annotations
 
+import functools
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -26,32 +27,50 @@ from .model import DENSE, Chunk
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CellBatch:
     """The valid cells of one chunk: global coordinates plus attribute
-    columns, all equally sized numpy vectors."""
+    columns, all equally sized numpy vectors.
 
-    coords: dict  # dim name -> int64 vector
-    columns: dict  # attr name -> value vector
-    chunk: Chunk
+    Built from given columns, or (``cell_batch``) from a chunk and its
+    schema, in which case ``coords`` and ``columns`` are extracted on
+    first access: a consumer that reads only ``chunk`` pays for neither.
+    """
+
+    def __init__(self, coords=None, columns=None, chunk: Chunk = None,
+                 schema=None):
+        if schema is None:
+            self.coords = coords  # dim name -> int64 vector
+            self.columns = columns  # attr name -> value vector
+        self.chunk = chunk
+        self._schema = schema
+
+    @functools.cached_property
+    def coords(self) -> dict:
+        chunk = self.chunk
+        if chunk.layout != DENSE:
+            return dict(chunk.dim_columns)
+        return {d.name: chunk.coord_column(i, d.name)[chunk.validity]
+                for i, d in enumerate(self._schema.dims)}
+
+    @functools.cached_property
+    def columns(self) -> dict:
+        chunk = self.chunk
+        if chunk.layout != DENSE:
+            return dict(chunk.columns)
+        return {name: col[chunk.validity]
+                for name, col in chunk.columns.items()}
 
     def __len__(self):
+        if self._schema is not None:
+            return self.chunk.valid_count
         if self.coords:
             return len(next(iter(self.coords.values())))
         return len(next(iter(self.columns.values())))
 
 
 def cell_batch(chunk: Chunk, schema) -> CellBatch:
-    """Extract the valid cells of a chunk as a batch."""
-    if chunk.layout == DENSE:
-        mask = chunk.validity
-        coords = {d.name: chunk.coord_column(i, d.name)[mask]
-                  for i, d in enumerate(schema.dims)}
-        columns = {name: col[mask] for name, col in chunk.columns.items()}
-    else:
-        coords = dict(chunk.dim_columns)
-        columns = dict(chunk.columns)
-    return CellBatch(coords, columns, chunk)
+    """The valid cells of a chunk as a batch, extracted lazily."""
+    return CellBatch(chunk=chunk, schema=schema)
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,22 @@ The workload simulates a telescope pipeline over a catalog of stored arrays:
                    one chunk per image
 
 Cooking extracts observations: 8-connected components of cells whose v1
-clears a threshold, labeled by the minimum global cell id (iterated min-id
-propagation per chunk, cross-chunk components merged through the aggregate
-engine). Grouping clusters observation centers across the images of a
+clears a threshold, labeled by the minimum global cell id (one-pass
+union-find labelling per chunk, cross-chunk components joined through
+their chunk-border cells in the aggregate engine). It reads v1 alone to
+label, and the other attributes only at the cells of the observations it
+keeps. Grouping clusters observation centers across the images of a
 cycle, with an attachment radius that widens linearly with the time gap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import ndimage
 
 from .algebra import (
     AggregateFn,
@@ -38,7 +42,7 @@ from .algebra import (
     reduce as reduce_op,
     shift,
 )
-from .errors import ConfigError, DependencyError, EngineError, CatalogError
+from .errors import ConfigError, DependencyError, CatalogError
 from .gla import GLA, AggregationTree, _round_robin, run_gla_chunks
 from .meter import metered
 from .model import (
@@ -214,14 +218,16 @@ def boundary_polygon(cells_x, cells_y) -> list:
             edges.setdefault((i + 1, j + 1), []).append((i, j + 1))
         if (i - 1, j) not in cells:
             edges.setdefault((i, j + 1), []).append((i, j))
+    # The smallest vertex is a corner of the outer ring: walk that ring,
+    # keeping the vertices where the direction turns.
     start = min(edges)
     poly = [start]
     cur = start
     prev_dir = None
     while True:
         outs = edges[cur]
-        if len(outs) == 1 or prev_dir is None:
-            nxt = min(outs)
+        if len(outs) == 1:
+            nxt = outs.pop()
         else:
             # Pinch vertex (diagonal contact): take the sharpest left turn
             # so the walk hugs the current ring.
@@ -231,46 +237,55 @@ def boundary_polygon(cells_x, cells_y) -> list:
                 dot = prev_dir[0] * d[0] + prev_dir[1] * d[1]
                 return -math.atan2(cross, dot)
             nxt = min(outs, key=angle)
-        outs.remove(nxt)
-        prev_dir = (nxt[0] - cur[0], nxt[1] - cur[1])
+            outs.remove(nxt)
+        direction = (nxt[0] - cur[0], nxt[1] - cur[1])
+        if prev_dir is not None and direction != prev_dir:
+            poly.append(cur)
+        prev_dir = direction
         cur = nxt
         if cur == start:
-            break
-        poly.append(cur)
-    merged = []
-    m = len(poly)
-    for k in range(m):
-        a, b, c = poly[k - 1], poly[k], poly[(k + 1) % m]
-        if (b[0] - a[0]) * (c[1] - b[1]) != (b[1] - a[1]) * (c[0] - b[0]):
-            merged.append(b)
-    return merged
+            return poly
 
 
 # ---------------------------------------------------------------------------
-# Cooking: per-chunk min-id labeling merged through the aggregate engine
+# Cooking: per-chunk labeling merged through the aggregate engine
 # ---------------------------------------------------------------------------
 
 
 class CookGLA(GLA):
     """Connected-component labeling of one image's chunks.
 
-    Per chunk: mask cells with v1 >= threshold, assign each its global cell
-    id, and iterate 8-neighbor min-id propagation to a fixpoint. The state
-    carries one component record per chunk-local label; components split
-    across chunks are unified in terminate by joining records with
-    8-adjacent cells, so the final label is the component's minimum id.
+    Per chunk: mask the cells with v1 >= threshold and label their
+    8-connected components in one pass (``scipy.ndimage.label``, two-pass
+    union-find). Each masked cell enters the state with its coordinates,
+    its v1, whether it lies on the chunk border, and its label: the
+    minimum global cell id of its component in the chunk, which is the
+    component's first cell in row-major order. Components split across
+    chunks meet only at border cells, so terminate joins labels through
+    the border cells alone: the final label is the component's minimum
+    id.
+
+    Terminate sorts the cells once by (label, row-major position), so each
+    observation's cells come out in row-major order whatever the chunk
+    grid or worker count, and reduces sizes, centers, boxes and sums per
+    observation in one vectorized pass. Only v1 travels through the
+    aggregate: ``read_values(xs, ys)`` returns the other attributes
+    (``v2``..) at the cells of the observations that survive the size
+    limits. Each ``o_k`` is the exact integer sum divided once by the
+    count.
     """
 
     def __init__(self, img_id: int, threshold: int, grid_extent: int,
-                 max_bbox: int, max_poly_edges: int):
+                 max_bbox: int, max_poly_edges: int, read_values):
         self.img_id = img_id
         self.threshold = threshold
         self.grid = grid_extent
         self.max_bbox = max_bbox
         self.max_poly_edges = max_poly_edges
+        self.read_values = read_values
 
     def init(self):
-        return {}
+        return []
 
     def accumulate(self, state, cells):
         chunk = cells.chunk
@@ -278,99 +293,108 @@ class CookGLA(GLA):
         nx, ny = ext[1], ext[2]
         v1 = chunk.columns["v1"].reshape(ext)[0]
         mask = chunk.validity.reshape(ext)[0] & (v1 >= self.threshold)
-        if not mask.any():
+        labels, _n = ndimage.label(mask, structure=np.ones((3, 3)))
+        xi, yi = np.nonzero(labels)
+        if not len(xi):
             return
-        x0, y0 = chunk.box.lo[1], chunk.box.lo[2]
-        g = self.grid
-        xs = np.arange(x0, x0 + nx, dtype=np.int64)
-        ys = np.arange(y0, y0 + ny, dtype=np.int64)
-        ids = self.img_id * g * g + xs[:, None] * g + ys[None, :]
-        lab = np.where(mask, ids, INT64_MAX)
-        guard = nx * ny + 1
-        for _ in range(guard):
-            padded = np.pad(lab, 1, constant_values=INT64_MAX)
-            best = lab.copy()
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    if dx == 0 and dy == 0:
-                        continue
-                    np.minimum(best, padded[1 + dx:1 + dx + nx,
-                                            1 + dy:1 + dy + ny], out=best)
-            best = np.where(mask, best, INT64_MAX)
-            if np.array_equal(best, lab):
-                break
-            lab = best
-        else:  # pragma: no cover - propagation always converges
-            raise EngineError("min-id propagation did not converge")
-        grids = {k: chunk.columns[f"v{k}"].reshape(ext)[0]
-                 for k in range(1, N_VALUES + 1)}
-        for label in np.unique(lab[mask]):
-            sel = lab == label
-            xi, yi = np.nonzero(sel)
-            state[int(label)] = {
-                "x": xi + x0,
-                "y": yi + y0,
-                "vals": {k: grids[k][sel] for k in grids},
-            }
+        lab = labels[xi, yi]
+        # np.unique's first occurrences are row-major firsts: minimum ids.
+        _uniq, first = np.unique(lab, return_index=True)
+        x = xi + chunk.box.lo[1]
+        y = yi + chunk.box.lo[2]
+        ids = (self.img_id * self.grid + x) * self.grid + y
+        border = (xi == 0) | (xi == nx - 1) | (yi == 0) | (yi == ny - 1)
+        state.append((ids[first][lab - 1], x, y, v1[xi, yi], border))
 
     def local_merge(self, a, b):
-        a.update(b)
+        a.extend(b)
         return a
+
+    @staticmethod
+    def _union_borders(label, x, y, border):
+        """Each cell's final label: its component's minimum id, joining
+        the labels of 8-adjacent border cells."""
+        at = np.flatnonzero(border)
+        cellmap = dict(zip(zip(x[at].tolist(), y[at].tolist()),
+                           label[at].tolist()))
+        parent = {}
+
+        def find(l):
+            root = l
+            while root in parent:
+                root = parent[root]
+            while l != root:
+                parent[l], l = root, parent[l]
+            return root
+
+        for (cx, cy), l in cellmap.items():
+            for dx in (-1, 0, 1):
+                for dy in (-1, 0, 1):
+                    other = cellmap.get((cx + dx, cy + dy))
+                    if other is not None and other != l:
+                        ra, rb = find(l), find(other)
+                        if ra != rb:
+                            parent[max(ra, rb)] = min(ra, rb)
+        if not parent:
+            return label
+        uniq, inverse = np.unique(label, return_inverse=True)
+        roots = uniq.copy()
+        joined = np.fromiter(parent, dtype=np.int64, count=len(parent))
+        roots[np.searchsorted(uniq, joined)] = [find(l) for l in
+                                                joined.tolist()]
+        return roots[inverse]
 
     def terminate(self, state):
         if not state:
             return []
-        # Union components whose cells are 8-adjacent across chunk borders.
-        cellmap = {}
-        for label, comp in state.items():
-            for x, y in zip(comp["x"].tolist(), comp["y"].tolist()):
-                cellmap[(x, y)] = label
-        parent = {label: label for label in state}
+        label, x, y, v1, border = (np.concatenate(col)
+                                   for col in zip(*state))
+        root = self._union_borders(label, x, y, border)
+        # One sort: by observation, then row-major within it.
+        order = np.lexsort((y, x, root))
+        root, x, y, v1 = root[order], x[order], y[order], v1[order]
+        starts = np.flatnonzero(np.r_[True, root[1:] != root[:-1]])
+        ends = np.r_[starts[1:], len(root)]
+        lo_x, hi_x = (f.reduceat(x, starts) for f in (np.minimum, np.maximum))
+        lo_y, hi_y = (f.reduceat(y, starts) for f in (np.minimum, np.maximum))
 
-        def find(l):
-            while parent[l] != l:
-                parent[l] = parent[parent[l]]
-                l = parent[l]
-            return l
+        # The size limits: bounding box, then boundary polygon edges.
+        small = np.flatnonzero(np.maximum(hi_x - lo_x, hi_y - lo_y)
+                               < self.max_bbox)
+        kept, polygons = [], []
+        for i, a, b in zip(small.tolist(), starts[small].tolist(),
+                           ends[small].tolist()):
+            polygon = boundary_polygon(x[a:b], y[a:b])
+            if len(polygon) <= self.max_poly_edges:
+                kept.append(i)
+                polygons.append(polygon)
+        if not kept:
+            return []
 
-        for (x, y), label in cellmap.items():
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    other = cellmap.get((x + dx, y + dy))
-                    if other is not None and other != label:
-                        ra, rb = find(label), find(other)
-                        if ra != rb:
-                            # Root at the smaller label: the final label is
-                            # the component-wide minimum cell id.
-                            if ra < rb:
-                                parent[rb] = ra
-                            else:
-                                parent[ra] = rb
-        merged = {}
-        for label in state:
-            merged.setdefault(find(label), []).append(label)
-
+        # Exact integer sums over the kept observations' cells, each
+        # divided once by the count.
+        is_kept = np.zeros(len(starts), dtype=bool)
+        is_kept[kept] = True
+        at = np.repeat(is_kept, ends - starts)
+        cells = {"x": x[at], "y": y[at], "v1": v1[at]}
+        cells.update(self.read_values(cells["x"], cells["y"]))
+        n = (ends - starts)[kept]
+        firsts = np.r_[0, np.cumsum(n)[:-1]]
+        mean = {name: (np.add.reduceat(col, firsts) / n).tolist()
+                for name, col in cells.items()}
+        names = [f"o{k}" for k in range(1, N_VALUES + 1)]
+        attrs = zip(*(mean[f"v{k}"] for k in range(1, N_VALUES + 1)))
         observations = []
-        for root in sorted(merged):
-            comps = [state[l] for l in merged[root]]
-            xs = np.concatenate([c["x"] for c in comps])
-            ys = np.concatenate([c["y"] for c in comps])
-            bbox = Box((int(xs.min()), int(ys.min())),
-                       (int(xs.max()), int(ys.max())))
-            if max(bbox.extents) > self.max_bbox:
-                continue
-            polygon = boundary_polygon(xs, ys)
-            if len(polygon) > self.max_poly_edges:
-                continue
-            attrs = {}
-            for k in range(1, N_VALUES + 1):
-                vals = np.concatenate([c["vals"][k] for c in comps])
-                attrs[f"o{k}"] = float(vals.mean())
+        for a, b, cx, cy, box, polygon, row in zip(
+                starts[kept].tolist(), ends[kept].tolist(), mean["x"],
+                mean["y"], zip(lo_x[kept].tolist(), lo_y[kept].tolist(),
+                               hi_x[kept].tolist(), hi_y[kept].tolist()),
+                polygons, attrs):
             observations.append(Observation(
-                obs_id=root, img_id=self.img_id, cells_x=xs, cells_y=ys,
-                center=(float(xs.mean()), float(ys.mean())),
-                bbox=bbox, polygon=polygon, attrs=attrs))
-        observations.sort(key=lambda o: o.obs_id)
+                obs_id=int(root[a]), img_id=self.img_id, cells_x=x[a:b],
+                cells_y=y[a:b], center=(cx, cy),
+                bbox=Box(box[:2], box[2:]), polygon=polygon,
+                attrs=dict(zip(names, row))))
         return observations
 
 
@@ -482,6 +506,7 @@ class Workload:
         self.observations = {}   # img_id -> [Observation]
         self.groups = {}         # cycle -> [ObservationGroup]
         self.obs_to_group = {}   # obs_id -> group_id
+        self._origins = None     # see image_origins
 
     # -- schemas ----------------------------------------------------------
 
@@ -547,6 +572,7 @@ class Workload:
         c = self.config
         g = c.grid_extent
         rng = np.random.default_rng(c.seed)
+        self._origins = None
         for name in ("images", "image_origin"):
             try:
                 self.catalog.drop_array(name)
@@ -628,31 +654,16 @@ class Workload:
         assert len(images.chunk_index) == c.n_images * c.tiles_per_image
 
     def image_origins(self) -> list:
-        entry = self._require("image_origin", "load")
-        chunk = self.catalog.read("image_origin", 0)
-        return list(zip(chunk.columns["orig_x"].tolist(),
-                        chunk.columns["orig_y"].tolist()))
-
-    def _image_chunk_ids(self, img: int) -> list:
-        entry = self._require("images", "load")
-        lo = img * self.config.tiles_per_image
-        return list(range(lo, lo + self.config.tiles_per_image))
+        """The global (x, y) origin of every image: read from the catalog
+        on first use, and kept until the next ``generate``."""
+        if self._origins is None:
+            self._require("image_origin", "load")
+            chunk = self.catalog.read("image_origin", 0)
+            self._origins = tuple(zip(chunk.columns["orig_x"].tolist(),
+                                      chunk.columns["orig_y"].tolist()))
+        return list(self._origins)
 
     # -- cooking ----------------------------------------------------------
-
-    def _run_cook(self, chunks, img: int, threshold: int) -> list:
-        """Run the labeling aggregate over already-loaded image chunks."""
-        c = self.config
-        gla = CookGLA(img, threshold, c.grid_extent, c.obs_max_bbox,
-                      c.obs_max_poly_edges)
-        nw = max(1, c.n_workers)
-        by_worker = _round_robin(chunks, nw)
-        if not by_worker:
-            return []
-        # Rotate the aggregation root across workers per image.
-        tree = AggregationTree.star(nw, root=img % nw)
-        run = run_gla_chunks(self.images_schema(), by_worker, gla, tree)
-        return run.result
 
     def cook(self):
         """Extract observations from every image; persist obs/obs_center
@@ -668,10 +679,9 @@ class Workload:
         self.catalog.create_array(self.obs_schema())
         self.catalog.create_array(self.obs_center_schema())
         self.observations = {}
+        whole = Box((0, 0), (c.grid_extent - 1, c.grid_extent - 1))
         for img in range(c.n_images):
-            chunks = [self.catalog.read("images", cid)
-                      for cid in self._image_chunk_ids(img)]
-            obs = self._run_cook(chunks, img, c.cook_threshold)
+            obs = self.recook(img, whole, c.cook_threshold)
             self.observations[img] = obs
             self._persist_image_observations(img, obs, origins[img])
         self.catalog.save()
@@ -712,13 +722,62 @@ class Workload:
         self.catalog.add_chunks("obs_center", [chunk])
 
     def recook(self, img: int, region: Box, threshold: int) -> list:
-        """Cook one image again, restricted to a 2-D region with an
-        alternate threshold (the Q2 pipeline)."""
+        """Cook one image within a 2-D region of local coordinates, at the
+        given threshold: ``cook`` runs it over whole images, Q2 over a
+        slab.
+
+        Labeling reads ``v1`` alone, and only of the chunks whose ``v1``
+        zone reaches the threshold: every component cell clears it, so no
+        other chunk holds one. The other attributes are read afterwards,
+        at the cells of the surviving observations only."""
         c = self.config
         slab = Box((img, region.lo[0], region.lo[1]),
                    (img, region.hi[0], region.hi[1]))
-        arr = rebox_stored(self.catalog, "images", slab)
-        return self._run_cook(arr.chunks, img, threshold)
+        arr = rebox_stored(self.catalog, "images", slab, columns=["v1"],
+                           predicate={"v1": (threshold, INT64_MAX)})
+        nw = max(1, c.n_workers)
+        by_worker = _round_robin(arr.chunks, nw)
+        if not by_worker:
+            return []
+        gla = CookGLA(img, threshold, c.grid_extent, c.obs_max_bbox,
+                      c.obs_max_poly_edges,
+                      functools.partial(self._cook_values, img))
+        # Rotate the aggregation root across workers per image.
+        tree = AggregationTree.star(nw, root=img % nw)
+        return run_gla_chunks(arr.schema, by_worker, gla, tree).result
+
+    def _cook_values(self, img: int, xs, ys) -> dict:
+        """``v2``..``v11`` at the given local cells of one image.
+
+        Each chunk holding a wanted cell is read in bands of rows (x): one
+        band per run of consecutive rows with a wanted cell, so no row
+        without one is read and no row is read twice. A one-row band is
+        narrowed to the wanted cells' span of y."""
+        names = [f"v{k}" for k in range(2, N_VALUES + 1)]
+        out = {name: np.empty(len(xs), dtype=np.int64) for name in names}
+        entry = self.catalog.entry("images")
+        span = Box((img, int(xs.min()), int(ys.min())),
+                   (img, int(xs.max()), int(ys.max())))
+        for cid in self.catalog.prune("images", span):
+            box = entry.ref(cid).box
+            inside = np.flatnonzero((xs >= box.lo[1]) & (xs <= box.hi[1]) &
+                                    (ys >= box.lo[2]) & (ys <= box.hi[2]))
+            if not len(inside):
+                continue
+            inside = inside[np.argsort(xs[inside], kind="stable")]
+            gaps = np.flatnonzero(np.diff(xs[inside]) > 1) + 1
+            for at in np.split(inside, gaps):
+                chunk = self.catalog.read("images", cid, columns=names,
+                                          box=Box((img, int(xs[at[0]]),
+                                                   int(ys[at].min())),
+                                                  (img, int(xs[at[-1]]),
+                                                   int(ys[at].max()))))
+                band = chunk.box
+                offset = (xs[at] - band.lo[1]) * band.extents[2] + \
+                    (ys[at] - band.lo[2])
+                for name in names:
+                    out[name][at] = chunk.columns[name][offset]
+        return out
 
     # -- grouping ---------------------------------------------------------
 
@@ -910,7 +969,6 @@ class Workload:
         over the cycle's images."""
         c = self.config
         gx, gy, w, h = self._global_slab(gx, gy, w, h)
-        origins = self.image_origins()
         self._require("obs", "cook")
         obs_entry = self.catalog.entry("obs")
         cand = 0
@@ -918,6 +976,7 @@ class Workload:
 
         def run():
             nonlocal cand
+            origins = self.image_origins()
             ids = set()
             for img in c.cycle_images(cycle):
                 ox, oy = origins[img]

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +39,33 @@ def cooked(tmp_path_factory):
     wl.cook()
     wl.group()
     return wl
+
+
+def image_grid(wl, img, attr):
+    """One attribute of one stored image as a full grid, read whole
+    chunk by whole chunk."""
+    g = wl.config.grid_extent
+    grid = np.zeros((g, g), dtype=np.int64)
+    for cid in wl.catalog.prune("images",
+                                Box((img, 0, 0), (img, g - 1, g - 1))):
+        chunk = wl.catalog.read("images", cid, columns=[attr])
+        box = chunk.box
+        grid[box.lo[1]:box.hi[1] + 1, box.lo[2]:box.hi[2] + 1] = \
+            chunk.columns[attr].reshape(box.extents[1:])
+    return grid
+
+
+def counting_reads(monkeypatch):
+    """Record the bytes of every ``read_chunk`` call from now on."""
+    calls = []
+    real = storage.read_chunk
+
+    def counting(*args, **kwargs):
+        chunk = real(*args, **kwargs)
+        calls.append(chunk.bytes_read)
+        return chunk
+    monkeypatch.setattr(storage, "read_chunk", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +154,11 @@ def cook_in_memory(v1_grid, threshold, chunk_side, n_workers=2, img_id=0,
                 values[f"v{k}"] = zero
             chunks.append(make_dense_chunk(schema, box, values,
                                            np.ones(box.volume, bool)))
-    gla = CookGLA(img_id, threshold, g, max_bbox, max_poly_edges)
+    zero_grid = np.zeros_like(v1_grid)
+
+    def read_values(xs, ys):
+        return {f"v{k}": zero_grid[xs, ys] for k in range(2, N_VALUES + 1)}
+    gla = CookGLA(img_id, threshold, g, max_bbox, max_poly_edges, read_values)
     by_worker = {}
     for i, ch in enumerate(chunks):
         by_worker.setdefault(i % n_workers, []).append(ch)
@@ -148,6 +180,43 @@ def random_v1(rng, g, threshold, blob_count=6):
     hot = rng.integers(0, g, (15, 2))
     grid[hot[:, 0], hot[:, 1]] = threshold
     return grid
+
+
+def serpentine(g, strip):
+    """One path snaking over a g x g grid in vertical strips ``strip``
+    cells wide: along every other row of a strip, joined at alternate
+    ends, then through the strip's last (otherwise empty) column into the
+    next strip, at its bottom or top row in turn."""
+    mask = np.zeros((g, g), dtype=bool)
+    last = (g - 1) // 2 * 2  # the last full row
+    for k, y0 in enumerate(range(0, g, strip)):
+        y1 = min(y0 + strip, g) - 2  # the strip's last path column
+        mask[::2, y0:y1 + 1] = True
+        mask[1::4, y1] = True
+        mask[3::4, y0] = True
+        if y1 + 2 < g:
+            mask[last if k % 2 == 0 else 0, y1 + 1] = True
+    return mask
+
+
+def spiral(g):
+    """One path spiralling inward from the corner of a g x g grid, its
+    arms one empty cell apart."""
+    mask = np.zeros((g, g), dtype=bool)
+    x, y, dx, dy = 0, -1, 0, 1
+    for n in [g] + [n for n in range(g - 1, 0, -2) for _ in (0, 1)]:
+        for _ in range(n):
+            x, y = x + dx, y + dy
+            mask[x, y] = True
+        dx, dy = dy, -dx
+    return mask
+
+
+def isolated(g):
+    """A cell at every other position of both axes: (g / 2)^2 components."""
+    mask = np.zeros((g, g), dtype=bool)
+    mask[::2, ::2] = True
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +292,44 @@ class TestCooking:
             assert o.attrs["o2"] == 0.0
 
     def test_chunking_invariance(self):
-        """The component partition does not depend on the chunk grid or
-        worker count."""
+        """The observations, down to the order of their cells, do not
+        depend on the chunk grid or worker count: cells come out in
+        row-major (x, y) order."""
         rng = np.random.default_rng(5)
         g, t = 48, 500
         grid = random_v1(rng, g, t)
         results = []
         for cs, nw in ((48, 1), (24, 2), (16, 3), (12, 4)):
             obs = cook_in_memory(grid, t, chunk_side=cs, n_workers=nw)
-            results.append(sorted(
-                (o.obs_id, frozenset(zip(o.cells_x.tolist(),
-                                         o.cells_y.tolist())))
-                for o in obs))
+            results.append([(o.obs_id, o.cells_x.tolist(), o.cells_y.tolist())
+                            for o in obs])
         assert all(r == results[0] for r in results)
+        for _obs_id, xs, ys in results[0]:
+            assert list(zip(xs, ys)) == sorted(zip(xs, ys))
+
+    @pytest.mark.parametrize("shape, g, chunk_side, budget_s", [
+        (lambda g: serpentine(g, g), 250, 250, 2.0),
+        (lambda g: serpentine(g, 250), 500, 250, 6.0),
+        (spiral, 250, 250, 2.0),
+        (isolated, 400, 100, 2.4),
+    ], ids=["serpentine-1-chunk", "serpentine-4-chunks", "spiral",
+            "isolated"])
+    def test_adversarial_shapes_cook_in_linear_time(self, shape, g,
+                                                    chunk_side, budget_s):
+        """Paths whose diameter is tens of thousands of cells, within
+        one chunk and across chunks, and tens of thousands of one-cell
+        components cook within a time budget and match the flood-fill
+        oracle."""
+        t = 500
+        mask = shape(g)
+        grid = np.where(mask, t, 0).astype(np.int64)
+        start = time.perf_counter()
+        obs = cook_in_memory(grid, t, chunk_side=chunk_side)
+        elapsed = time.perf_counter() - start
+        got = {frozenset(zip(o.cells_x.tolist(), o.cells_y.tolist()))
+               for o in obs}
+        assert got == set(flood_fill_components(mask))
+        assert elapsed < budget_s
 
     def test_size_limits_drop_observations(self):
         g, t = 30, 500
@@ -380,6 +474,35 @@ class TestWorkloadEndToEnd:
         assert np.array_equal(c1.columns["v1"], c2.columns["v1"])
         assert wl1.image_origins() == wl2.image_origins()
 
+    def test_generate_resets_the_origins(self, tmp_path):
+        wl = Workload(small_config(), tmp_path / "a")
+        wl.generate()
+        first = wl.image_origins()
+        wl.config = small_config(seed=8)
+        wl.generate()
+        other = Workload(small_config(seed=8), tmp_path / "b")
+        other.generate()
+        assert wl.image_origins() == other.image_origins() != first
+
+    def test_observation_attrs_are_cell_means(self, cooked):
+        """Each o_k of an observation, in memory and in its obs_center
+        row, is the mean of v_k over its cells, read directly from
+        images."""
+        n_obs = 0
+        for img, obs in cooked.observations.items():
+            grids = {k: image_grid(cooked, img, f"v{k}")
+                     for k in range(1, N_VALUES + 1)}
+            center = cooked.catalog.read("obs_center", img)
+            row = {int(oid): i for i, oid in
+                   enumerate(center.columns["obs_id"].tolist())}
+            for o in obs:
+                for k in range(1, N_VALUES + 1):
+                    mean = float(grids[k][o.cells_x, o.cells_y].mean())
+                    assert o.attrs[f"o{k}"] == mean
+                    assert center.columns[f"o{k}"][row[o.obs_id]] == mean
+                n_obs += 1
+        assert n_obs > 0
+
     def test_chunk_layout(self, cooked):
         c = cooked.config
         entry = cooked.catalog.entry("images")
@@ -452,23 +575,11 @@ class TestQueries:
         imgs = list(c.cycle_images(0))
         total, count = 0.0, 0
         for img in imgs:
-            arr = self._image_grid(cooked, img, "v2")
+            arr = image_grid(cooked, img, "v2")
             total += arr[10:61, 20:61].sum()
             count += arr[10:61, 20:61].size
         assert value["result"] == pytest.approx(total / count, rel=1e-12)
         assert stats.chunks_read == stats.candidates > 0
-
-    @staticmethod
-    def _image_grid(wl, img, attr):
-        c = wl.config
-        g = c.grid_extent
-        grid = np.zeros((g, g), dtype=np.int64)
-        for cid in wl._image_chunk_ids(img):
-            chunk = wl.catalog.read("images", cid, columns=[attr])
-            box = chunk.box
-            grid[box.lo[1]:box.hi[1] + 1, box.lo[2]:box.hi[2] + 1] = \
-                chunk.columns[attr].reshape(box.extents[1:])
-        return grid
 
     def test_q1_pruning_reads_only_needed_chunks(self, cooked):
         c = cooked.config
@@ -483,17 +594,24 @@ class TestQueries:
     def test_q9_stats_count_every_read(self, cooked, monkeypatch):
         """q9 runs q5 inside its own measurement; q5's measurement must
         not hide q9's reads."""
-        calls = []
-        real = storage.read_chunk
-
-        def counting(*args, **kwargs):
-            chunk = real(*args, **kwargs)
-            calls.append(chunk.bytes_read)
-            return chunk
-        monkeypatch.setattr(storage, "read_chunk", counting)
+        calls = counting_reads(monkeypatch)
         _value, stats = cooked.q9(0)
         assert stats.chunks_read == len(calls) > 0
         assert stats.bytes_read == sum(calls)
+
+    def test_q5_stats_count_every_read(self, cooked, monkeypatch):
+        """q5's stats count every chunk it reads, the image origins
+        included, and a workload reads the origins once per load."""
+        calls = counting_reads(monkeypatch)
+        fresh = Workload(cooked.config, cooked.catalog.data_dir)
+        counts = []
+        for wl in (fresh, fresh, cooked):
+            calls.clear()
+            _value, stats = wl.q5(0, gx=0, gy=0, w=1999, h=1999)
+            assert stats.chunks_read == len(calls) > 0
+            assert stats.bytes_read == sum(calls)
+            counts.append(len(calls))
+        assert counts == [counts[1] + 1, counts[1], counts[1]]
 
     def test_concurrent_queries_keep_their_own_counts(self, cooked):
         _value, solo = cooked.q1(0)
@@ -539,7 +657,7 @@ class TestQueries:
             {f"v{k}_avg" for k in range(1, N_VALUES + 1)}
         # Spot-check one origin against the raw data.
         img = list(cooked.config.cycle_images(0))[0]
-        grid = self._image_grid(cooked, img, "v1")
+        grid = image_grid(cooked, img, "v1")
         cells = arr.cells()
         sel = (cells.coords["img_id"] == 0)
         i = int(np.nonzero(sel)[0][0])
