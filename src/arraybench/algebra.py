@@ -260,9 +260,15 @@ class AggregateFn:
             return f"{self.kind}_{self.attr}"
         return self.kind
 
-    def out_kind(self):
-        return KIND_FLOAT64 if self.kind == "avg" else (
-            KIND_INT64 if self.kind in ("count", "count_distinct") else None)
+    def out_kind(self, schema: ArraySchema) -> str:
+        """The kind of the output attribute over ``schema``: count and
+        count_distinct give int64, avg and user float64, and sum, min and
+        max keep the attribute's kind."""
+        if self.kind in ("count", "count_distinct"):
+            return KIND_INT64
+        if self.kind in ("avg", "user"):
+            return KIND_FLOAT64
+        return schema.attr(self.attr).kind
 
     def entry(self, schema: ArraySchema):
         """This aggregate's entry in the aggregate table."""
@@ -293,7 +299,7 @@ def shift(array: Array, offset) -> Array:
     dims = tuple(DimensionSpec(d.name, d.lo + int(o), d.hi + int(o))
                  for d, o in zip(array.schema.dims, offset))
     schema = ArraySchema(array.schema.name, dims, array.schema.attrs,
-                         array.schema.density, array.schema.origin)
+                         array.schema.density)
     chunks = []
     for c in array.chunks:
         box = c.box.translate(offset)
@@ -336,8 +342,7 @@ def _clip_sparse_chunk(schema, chunk, inter: Box):
 def _clipped_schema(schema: ArraySchema, new_box: Box) -> ArraySchema:
     dims = tuple(DimensionSpec(d.name, lo, hi)
                  for d, (lo, hi) in zip(schema.dims, new_box.ranges()))
-    return ArraySchema(schema.name, dims, schema.attrs, schema.density,
-                       schema.origin)
+    return ArraySchema(schema.name, dims, schema.attrs, schema.density)
 
 
 def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
@@ -429,7 +434,7 @@ def fill(array: Array, defaults: dict, chunk_shape=None) -> Array:
         data[a] = g.ravel()
     data["__valid__"] = np.ones(array.box.volume, dtype=bool)
     schema = ArraySchema(array.schema.name, array.schema.dims,
-                         array.schema.attrs, DENSE, array.schema.origin)
+                         array.schema.attrs, DENSE)
     return dense_array(schema, data, chunk_shape=chunk_shape)
 
 
@@ -520,13 +525,11 @@ def combine(a: Array, b: Array, g) -> Array:
                     out = g_expr(ba.columns[n][ia], bb.columns[n][ib])
                 cols[n] = np.asarray(out)
             chunks.append(make_sparse_chunk(
-                ArraySchema(schema.name, schema.dims, schema.attrs, SPARSE,
-                            schema.origin),
+                ArraySchema(schema.name, schema.dims, schema.attrs, SPARSE),
                 ca.box, dims, cols, chunk_id=ca.chunk_id))
     density = DENSE if all(c.layout == DENSE for c in chunks) or not chunks \
         else SPARSE
-    schema = ArraySchema(schema.name, schema.dims, schema.attrs, density,
-                         schema.origin)
+    schema = ArraySchema(schema.name, schema.dims, schema.attrs, density)
     return Array(schema, chunks)
 
 
@@ -577,13 +580,11 @@ def inner_djoin(a: Array, b: Array) -> Array:
             cols = {n: ba.columns[n][ia] for n in a.schema.attr_names}
             for old, new in rename.items():
                 cols[new] = bb.columns[old][ib]
-            schema = ArraySchema(a.schema.name, a.schema.dims, attrs, SPARSE,
-                                 a.schema.origin)
+            schema = ArraySchema(a.schema.name, a.schema.dims, attrs, SPARSE)
             chunks.append(make_sparse_chunk(schema, ca.box, dims, cols,
                                             chunk_id=ca.chunk_id))
     density = DENSE if all_dense else SPARSE
-    schema = ArraySchema(a.schema.name, a.schema.dims, attrs, density,
-                         a.schema.origin)
+    schema = ArraySchema(a.schema.name, a.schema.dims, attrs, density)
     return Array(schema, chunks)
 
 
@@ -651,13 +652,8 @@ def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001
 
     dims = tuple(d for d in array.schema.dims if d.name in keep_dims)
     dims = tuple(sorted(dims, key=lambda d: keep_dims.index(d.name)))
-    attr_specs = []
-    for agg in aggs:
-        kind = agg.out_kind()
-        if kind is None:
-            kind = array.schema.attr(agg.attr).kind if agg.kind in ("min", "max") \
-                else KIND_FLOAT64
-        attr_specs.append(AttributeSpec(agg.out_name, kind))
+    attr_specs = [AttributeSpec(agg.out_name, agg.out_kind(array.schema))
+                  for agg in aggs]
     schema = ArraySchema(f"{array.schema.name}_reduced", dims,
                          tuple(attr_specs), SPARSE)
     if groups is None:

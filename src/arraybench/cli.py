@@ -110,8 +110,8 @@ def _run_query_phase(workload: Workload, query: str,
             if config_digest is None:
                 config_digest = result_digest(rep_results)
                 results.append(rep_results)
-                chunks += sum(stats.chunks_read for _, stats in runs)
-                bytes_read += sum(stats.bytes_read for _, stats in runs)
+                chunks += meter.chunks_read
+                bytes_read += meter.bytes_read
                 merge += meter.merge_bytes
             elif result_digest(rep_results) != config_digest:
                 raise EngineError(

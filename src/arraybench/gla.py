@@ -3,17 +3,16 @@
 A user aggregate is a state plus a lifecycle: per-chunk bracketing
 (begin/end), accumulation over the chunk's valid cells, associative and
 commutative merging of partial states, and a final terminate. Workers are
-simulated in-process, but state never crosses a worker boundary except as
-serialized bytes; the per-edge byte traffic is recorded on the run and
-added to the current meter.
+simulated: the caller's thread folds each worker's chunks in turn, but
+state never crosses a worker boundary except as serialized bytes; the
+per-edge byte traffic is recorded on the run and added to the current
+meter, as is every chunk a user aggregate reads while it folds.
 """
 
 from __future__ import annotations
 
 import functools
 import pickle
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,7 +189,8 @@ class _Fold(_Entry):
             state.dtype, copy=False))
 
     def merge(self, state, groups, other):
-        self.ufunc.at(state, groups, other)
+        with np.errstate(invalid="ignore"):  # inf + -inf is NaN, by the rule
+            self.ufunc.at(state, groups, other)
         return state
 
     def finalize(self, state, counts):
@@ -532,7 +532,7 @@ class GLARun:
         return sum(self.edge_bytes.values())
 
 
-def _fold_worker(gla, schema, chunks, run, lock):
+def _fold_worker(gla, schema, chunks, run):
     """Fold one worker's chunks, in order, into a single state."""
     state = gla.init()
     for chunk in chunks:
@@ -540,8 +540,7 @@ def _fold_worker(gla, schema, chunks, run, lock):
         gla.accumulate(state, cell_batch(chunk, schema))
         rows = gla.end_chunk(state)
         if rows:
-            with lock:
-                run.materialized.extend(rows)
+            run.materialized.extend(rows)
     return state
 
 
@@ -570,20 +569,15 @@ def run_gla(catalog, name, chunk_ids, gla: GLA, tree: AggregationTree | None = N
 
 def run_gla_chunks(schema, chunks_by_worker: dict, gla: GLA,
                    tree: AggregationTree) -> GLARun:
-    """Core executor over already-loaded chunks grouped by worker."""
+    """Core executor over already-loaded chunks grouped by worker. The
+    workers fold in the caller's thread, one after another in worker
+    order."""
     run = GLARun()
-    lock = threading.Lock()
-    states = {}
     workers = sorted(chunks_by_worker)
     if any(w >= tree.n_workers for w in workers):
         raise ConfigError("aggregation tree does not cover all chunk owners")
-
-    with ThreadPoolExecutor(max_workers=max(1, len(workers))) as pool:
-        futs = {w: pool.submit(_fold_worker, gla, schema, chunks_by_worker[w],
-                               run, lock)
-                for w in workers}
-        for w, fut in futs.items():
-            states[w] = fut.result()
+    states = {w: _fold_worker(gla, schema, chunks_by_worker[w], run)
+              for w in workers}
 
     # Ascend the tree: deepest workers first, each child shipping its state
     # to its parent as bytes. Workers without chunks may still appear as

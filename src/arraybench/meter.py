@@ -16,10 +16,7 @@ _current = contextvars.ContextVar("meter", default=None)
 @dataclass
 class Meter:
     """The counts of one ``metered()`` block. Only code running in the
-    context that opened the block updates it, so it takes no lock. Threads
-    started by ``threading`` or a ``ThreadPoolExecutor`` begin with an empty
-    context (Python 3.11), so what they read is not counted: the engine
-    reads chunks in the thread that measures them."""
+    context that opened the block updates it, so it takes no lock."""
 
     chunks_read: int = 0
     bytes_read: int = 0

@@ -149,7 +149,6 @@ class ArraySchema:
     dims: tuple
     attrs: tuple
     density: str = DENSE
-    origin: tuple | None = None  # optional global offset, one entry per dim
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -163,8 +162,6 @@ class ArraySchema:
             raise SchemaError(f"array {self.name}: duplicate dim/attr names")
         if self.density not in (DENSE, SPARSE):
             raise SchemaError(f"array {self.name}: bad density {self.density!r}")
-        if self.origin is not None and len(self.origin) != len(self.dims):
-            raise SchemaError(f"array {self.name}: origin length mismatch")
 
     @property
     def box(self) -> Box:
@@ -188,10 +185,7 @@ class ArraySchema:
         return any(a.name == name for a in self.attrs)
 
     def with_attrs(self, attrs) -> "ArraySchema":
-        return ArraySchema(self.name, self.dims, tuple(attrs), self.density, self.origin)
-
-    def with_name(self, name: str) -> "ArraySchema":
-        return ArraySchema(name, self.dims, self.attrs, self.density, self.origin)
+        return ArraySchema(self.name, self.dims, tuple(attrs), self.density)
 
 
 def _zone_of(values: np.ndarray, kind: str):

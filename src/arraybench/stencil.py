@@ -139,12 +139,8 @@ class _StencilSpec:
     # -- output assembly --------------------------------------------------
 
     def out_schema(self) -> ArraySchema:
-        attr_specs = []
-        for agg in self.aggs:
-            kind = agg.out_kind()
-            if kind is None:
-                kind = self.schema.attr(agg.attr).kind
-            attr_specs.append(AttributeSpec(agg.out_name, kind))
+        attr_specs = [AttributeSpec(agg.out_name, agg.out_kind(self.schema))
+                      for agg in self.aggs]
         if self.mode == "pattern":
             dims = tuple(DimensionSpec(d.name, 0, len(s) - 1)
                          for d, s in zip(self.schema.dims, self.sel))
@@ -171,23 +167,26 @@ def _window_grid(spec: _StencilSpec, box: Box, valid, grids, sel):
     states = [s if s is None else s.reshape(extents) for s in states]
     folds = [(e.ufunc, s, grids[e.attr], e.identity(s.dtype))
              for e, s in zip(spec.entries, states) if e.ufunc]
-    for off in itertools.product(*[range(l, h + 1) for l, h in spec.shape.ranges]):
-        src, dst = [], []
-        for s, o, lo, hi in zip(sel, off, box.lo, box.hi):
-            q0 = int(np.searchsorted(s, lo - o, "left"))
-            q1 = int(np.searchsorted(s, hi - o, "right"))
-            if q1 <= q0:
-                break
-            src.append(s[q0:q1] + (o - lo))
-            dst.append(slice(q0, q1))
-        else:
-            ix = np.ix_(*src)
-            dst = tuple(dst)
-            vm = valid[ix]
-            counts[dst] += vm
-            for ufunc, acc, grid, identity in folds:
-                view = acc[dst]
-                ufunc(view, np.where(vm, grid[ix], identity), out=view)
+    offsets = itertools.product(*[range(l, h + 1)
+                                  for l, h in spec.shape.ranges])
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, by the rule
+        for off in offsets:
+            src, dst = [], []
+            for s, o, lo, hi in zip(sel, off, box.lo, box.hi):
+                q0 = int(np.searchsorted(s, lo - o, "left"))
+                q1 = int(np.searchsorted(s, hi - o, "right"))
+                if q1 <= q0:
+                    break
+                src.append(s[q0:q1] + (o - lo))
+                dst.append(slice(q0, q1))
+            else:
+                ix = np.ix_(*src)
+                dst = tuple(dst)
+                vm = valid[ix]
+                counts[dst] += vm
+                for ufunc, acc, grid, identity in folds:
+                    view = acc[dst]
+                    ufunc(view, np.where(vm, grid[ix], identity), out=view)
     return counts, states
 
 

@@ -384,9 +384,9 @@ class CatalogEntry:
     chunk_index: list = field(default_factory=list)  # list[ChunkRef]
 
     def ref(self, chunk_id: int) -> ChunkRef:
-        for r in self.chunk_index:
-            if r.chunk_id == chunk_id:
-                return r
+        """Chunk ids are positions in the index (see ``add_chunks``)."""
+        if 0 <= chunk_id < len(self.chunk_index):
+            return self.chunk_index[chunk_id]
         raise CatalogError(f"array {self.schema.name}: no chunk {chunk_id}")
 
 
@@ -495,8 +495,6 @@ class Catalog:
             lines.append(f"dim {d.name} {d.lo} {d.hi}")
         for a in entry.schema.attrs:
             lines.append(f"attr {a.name} {a.kind}")
-        if entry.schema.origin is not None:
-            lines.append("origin " + " ".join(str(v) for v in entry.schema.origin))
         order = entry.schema.dim_names + entry.schema.attr_names
         for ref in entry.chunk_index:
             boxs = ",".join(f"{l}:{h}" for l, h in ref.box.ranges())
@@ -517,7 +515,7 @@ class Catalog:
     def _read_manifest(self, path: Path):
         name = None
         density = DENSE
-        dims, attrs, origin, refs = [], [], None, []
+        dims, attrs, refs = [], [], []
         kinds = {}  # zone name -> kind; dimension zones are int64
         for line in path.read_text().splitlines():
             tok = line.split()
@@ -532,13 +530,14 @@ class Catalog:
             elif tok[0] == "attr":
                 attrs.append(AttributeSpec(tok[1], tok[2]))
                 kinds[tok[1]] = tok[2]
-            elif tok[0] == "origin":
-                origin = tuple(int(v) for v in tok[1:])
             elif tok[0] == "chunk":
                 # The id comes first and the file last; older catalogs
                 # hold a worker id between them.
                 pos = [t for t in tok[1:] if "=" not in t]
                 cid, locator = int(pos[0]), str(path.parent / pos[-1])
+                if cid != len(refs):
+                    raise FormatError(f"{path}: chunk {cid} where chunk "
+                                      f"{len(refs)} was expected")
                 fields = dict(t.split("=", 1) for t in tok[1:] if "=" in t)
                 ranges = [tuple(int(v) for v in r.split(":"))
                           for r in fields["box"].split(",")]
@@ -550,7 +549,7 @@ class Catalog:
                     zname, zrange = z.split("=", 1)
                     zones[zname] = _parse_zone(zrange, kinds.get(zname), path)
                 refs.append(ChunkRef(cid, box, zones, locator))
-        schema = ArraySchema(name, tuple(dims), tuple(attrs), density, origin)
+        schema = ArraySchema(name, tuple(dims), tuple(attrs), density)
         return CatalogEntry(schema, refs)
 
     # -- access -----------------------------------------------------------

@@ -188,13 +188,6 @@ class ObservationGroup:
                    (int(max(xs)), int(max(ys))))
 
 
-@dataclass
-class QueryStats:
-    chunks_read: int = 0
-    bytes_read: int = 0
-    candidates: int = 0   # exhaustive box-intersection chunk count
-
-
 # ---------------------------------------------------------------------------
 # Boundary polygon extraction
 # ---------------------------------------------------------------------------
@@ -852,10 +845,11 @@ class Workload:
 
     # -- measurement helper -----------------------------------------------
 
-    def _measured(self, fn, candidates=0):
-        with metered() as m:
+    def _measured(self, fn):
+        """``fn()`` and the ``Meter`` of its reads and merges."""
+        with metered() as meter:
             value = fn()
-        return value, QueryStats(m.chunks_read, m.bytes_read, candidates)
+        return value, meter
 
     def _clip(self, name: str, box: Box) -> Box:
         schema = self.catalog.entry(name).schema
@@ -880,13 +874,12 @@ class Workload:
         slab = self._clip("images", Box(
             (imgs[0], x1, y1), (imgs[-1], x1 + t1, y1 + u1)))
         attr = f"v{vi}"
-        cand = len(self.catalog.prune("images", slab))
 
         def run():
             arr = rebox_stored(self.catalog, "images", slab, columns=[attr])
             return reduce_op(arr, [], AggregateFn("avg", attr, "result"),
                              n_workers=c.n_workers)
-        return self._measured(run, candidates=cand)
+        return self._measured(run)
 
     def q2(self, cycle: int, x2=None, y2=None, t2=None, u2=None,
            threshold=None):
@@ -945,14 +938,13 @@ class Workload:
         slab = self._clip("obs_center", Box(
             (imgs[0], gx, gy), (imgs[-1], gx + t2, gy + u2)))
         attr = f"o{oi}"
-        cand = len(self.catalog.prune("obs_center", slab))
 
         def run():
             arr = rebox_stored(self.catalog, "obs_center", slab,
                                columns=[attr])
             return reduce_op(arr, [], AggregateFn("avg", attr, "result"),
                              n_workers=c.n_workers)
-        return self._measured(run, candidates=cand)
+        return self._measured(run)
 
     def _global_slab(self, gx, gy, w, h):
         c = self.config
@@ -971,11 +963,9 @@ class Workload:
         gx, gy, w, h = self._global_slab(gx, gy, w, h)
         self._require("obs", "cook")
         obs_entry = self.catalog.entry("obs")
-        cand = 0
         slab2d = Box((gx, gy), (gx + w, gy + h))
 
         def run():
-            nonlocal cand
             origins = self.image_origins()
             ids = set()
             for img in c.cycle_images(cycle):
@@ -988,7 +978,6 @@ class Workload:
                 gbox = Box((zx[0] + ox, zy[0] + oy), (zx[1] + ox, zy[1] + oy))
                 if box_intersect(gbox, slab2d) is None:
                     continue
-                cand += 1
                 chunk = self.catalog.read("obs", img)
                 arr = Array(self.obs_schema(), [chunk])
                 arr = shift(arr, (0, ox, oy))
@@ -996,9 +985,7 @@ class Workload:
                 for ch in sub.chunks:
                     ids.update(ch.columns["obs_id"].tolist())
             return {"count": len(ids), "obs_ids": sorted(ids)}
-        value, stats = self._measured(run)
-        stats.candidates = cand
-        return value, stats
+        return self._measured(run)
 
     def q6(self, cycle: int, gx=None, gy=None, w=None, h=None, d4=None,
            d5=None):
@@ -1039,7 +1026,6 @@ class Workload:
         self._require("group_center", "group")
         slab = self._clip("group_center",
                           Box((cycle, gx, gy), (cycle, gx + w, gy + h)))
-        cand = len(self.catalog.prune("group_center", slab))
 
         def run():
             arr = rebox_stored(self.catalog, "group_center", slab)
@@ -1047,7 +1033,7 @@ class Workload:
             for ch in arr.chunks:
                 ids.update(ch.columns["group_id"].tolist())
             return sorted(ids)
-        return self._measured(run, candidates=cand)
+        return self._measured(run)
 
     def _group_tiles(self, cycle: int, group_ids, d6):
         """Raw D6-radius tiles around every per-image center of the given

@@ -84,7 +84,8 @@ def numpy_aggregate(kind, values):
         return len(np.unique(values))
     if kind in ("min", "max"):
         return getattr(values, kind)().item()
-    total = float(values.sum())
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, as in the engine
+        total = float(values.sum())
     return total if kind == "sum" else total / len(values)
 
 

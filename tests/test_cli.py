@@ -14,7 +14,8 @@ from arraybench.cli import (
     run_benchmark,
 )
 from arraybench.errors import ConfigError, EngineError
-from arraybench.workload import BenchConfig, QueryStats, Workload
+from arraybench.meter import Meter
+from arraybench.workload import BenchConfig, Workload
 from tests.test_workload import SMALL, small_config
 
 
@@ -115,7 +116,7 @@ class TestRunBenchmark:
         def q1(self, cycle, **params):
             calls.append(cycle)
             # The second repetition returns another value.
-            return {"result": len(calls) > n_cycles}, QueryStats()
+            return {"result": len(calls) > n_cycles}, Meter()
         monkeypatch.setattr(Workload, "q1", q1)
         with pytest.raises(EngineError, match="nondeterministic"):
             run_benchmark(small_config(), tmp_path, phases=["q1"],

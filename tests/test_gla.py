@@ -40,14 +40,15 @@ def oracle_values(schema, chunks, attr="v"):
     """Reference values computed with plain numpy over all valid cells."""
     cols = [cell_batch(c, schema).columns[attr] for c in chunks]
     v = np.concatenate(cols) if cols else np.empty(0, np.int64)
-    return {
-        "sum": float(v.sum()) if len(v) else None,
-        "count": sum(c.valid_count for c in chunks),
-        "avg": float(v.mean()) if len(v) else None,
-        "min": v.min().item() if len(v) else None,
-        "max": v.max().item() if len(v) else None,
-        "count_distinct": len(np.unique(v)),
-    }
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN, as in the engine
+        return {
+            "sum": float(v.sum()) if len(v) else None,
+            "count": sum(c.valid_count for c in chunks),
+            "avg": float(v.mean()) if len(v) else None,
+            "min": v.min().item() if len(v) else None,
+            "max": v.max().item() if len(v) else None,
+            "count_distinct": len(np.unique(v)),
+        }
 
 
 # The random "v" cases, then the extremes of make_extreme_2d: 2**53 + 1 in
@@ -319,3 +320,19 @@ class TestCatalogExecution:
         assert run.result == sum(c.valid_count for c in chunks)
         # Three workers hold chunks; both non-root ones ship a state.
         assert set(run.edge_bytes) == {(1, 0), (2, 0)}
+
+    def test_reads_made_while_folding_are_metered(self, rng, tmp_path):
+        """A chunk a user aggregate reads inside ``accumulate`` counts in
+        the caller's meter, like the chunks ``run_gla`` reads itself."""
+        cat = Catalog(tmp_path)
+        cat.create_array(dense_schema())
+        cat.add_chunks("d", [random_dense_chunk(rng) for _ in range(4)])
+
+        class RereadGLA(CountGLA):
+            def accumulate(self, state, cells):
+                cat.read("d", cells.chunk.chunk_id)
+                return super().accumulate(state, cells)
+
+        with metered() as meter:
+            run_gla(cat, "d", range(4), RereadGLA(), n_workers=2)
+        assert meter.chunks_read == 8

@@ -12,6 +12,7 @@ from arraybench import (
     NeighborhoodShape,
     apply_plus,
     materialize,
+    reduce,
 )
 from arraybench.errors import ConfigError, DomainError
 from tests.conftest import (
@@ -236,6 +237,25 @@ class TestStrategyAgreement:
         # The user count aggregate agrees with the built-in one.
         for row in array_cells_sorted(a):
             assert row[2] == row[3]
+
+
+class TestOutputKind:
+    @pytest.mark.parametrize("boundary", ["merge", "overlap"])
+    @pytest.mark.parametrize("kind, attr", EXTREME_CASES + [("user", None)])
+    def test_reduce_and_apply_plus_agree(self, rng, kind, attr, boundary):
+        """count and count_distinct give int64, avg and user float64, and
+        sum, min and max keep the attribute's kind."""
+        arr, _, _ = make_extreme_2d(rng)
+        agg = AggregateFn(kind, attr, "r",
+                          gla=CountGLA() if kind == "user" else None)
+        expected = {"count": "int64", "count_distinct": "int64",
+                    "avg": "float64", "user": "float64"}.get(kind)
+        expected = expected or arr.schema.attr(attr).kind
+        for out in (reduce(arr, ["x"], agg),
+                    apply_plus(arr, NeighborhoodShape.square(2, 1), "valid",
+                               agg, boundary=boundary)):
+            assert out.schema.attr("r").kind == expected
+            assert out.cells().columns["r"].dtype == expected
 
 
 class TestValidation:

@@ -497,6 +497,28 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             cat.read("nope", 0)
 
+    def test_chunk_ids_outside_the_index_rejected(self, rng, tmp_path):
+        cat = Catalog(tmp_path)
+        self._populate(cat, rng)
+        assert cat.entry("s").ref(5).chunk_id == 5
+        for cid in (-1, 6):
+            with pytest.raises(CatalogError):
+                cat.read("s", cid)
+
+    def test_manifest_with_ids_out_of_order_rejected(self, rng, tmp_path):
+        cat = Catalog(tmp_path)
+        self._populate(cat, rng)
+        cat.save()
+        manifest = tmp_path / "s" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        chunk_lines = [i for i, line in enumerate(lines)
+                       if line.startswith("chunk ")]
+        first, second = chunk_lines[:2]
+        lines[first], lines[second] = lines[second], lines[first]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            Catalog(tmp_path).load()
+
     def test_duplicate_create_rejected(self, rng, tmp_path):
         cat = Catalog(tmp_path)
         self._populate(cat, rng)
