@@ -626,8 +626,7 @@ class _GroupByGLA(GLA):
         return GroupStates.union(state) if state else None
 
 
-def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001
-           tree: AggregationTree | None = None):
+def reduce(array: Array, keep_dims, aggs, n_workers: int = 1):  # noqa: A001
     """Group the valid cells by the kept dimensions and aggregate.
 
     Empty ``keep_dims`` yields a single result row (dict of output name ->
@@ -642,7 +641,7 @@ def reduce(array: Array, keep_dims, aggs, n_workers: int = 1,  # noqa: A001
     for agg in aggs:
         agg.validate(array.schema)
     gla = _GroupByGLA(keep_dims, aggs, array.schema)
-    tree = tree or AggregationTree.balanced_binary(max(1, n_workers))
+    tree = AggregationTree.balanced_binary(max(1, n_workers))
     by_worker = _round_robin(array.chunks, n_workers)
     groups = run_gla_chunks(array.schema, by_worker, gla, tree).result \
         if by_worker else None

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, DependencyError, EngineError, PlanError
+from .errors import ConfigError, EngineError
 from .meter import metered
 from .plans import RunReport, StageMetrics, execute_plan, parse_plan, \
     result_digest
@@ -198,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    mapping = read_config_file(args.config) if args.config else {}
-    if args.workers is not None:
-        mapping["n_workers"] = args.workers
-    if args.seed is not None:
-        mapping["seed"] = args.seed
     try:
+        mapping = read_config_file(args.config) if args.config else {}
+        if args.workers is not None:
+            mapping["n_workers"] = args.workers
+        if args.seed is not None:
+            mapping["seed"] = args.seed
         config = BenchConfig.from_mapping(mapping)
         if args.plan:
             catalog = Catalog(args.data_dir)
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
             report = run_benchmark(config, args.data_dir, phases,
                                    param_configs=args.param_configs,
                                    repetitions=args.repetitions)
-    except (ConfigError, DependencyError, PlanError, EngineError) as exc:
+    except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(report.table(), end="")

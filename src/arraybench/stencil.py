@@ -376,7 +376,7 @@ def _assemble(spec: _StencilSpec, rows):
 
 
 def apply_plus(array, shape, origins, agg, boundary: str = "merge",
-               n_workers: int = 1, tree: AggregationTree | None = None):
+               n_workers: int = 1):
     """Aggregate over a neighborhood shape at selected origin cells.
 
     ``origins`` is ``"valid"`` (every valid cell) or a mapping of dimension
@@ -399,6 +399,6 @@ def apply_plus(array, shape, origins, agg, boundary: str = "merge",
     by_worker = _round_robin(array.chunks, n_workers)
     if not by_worker:
         return _assemble(spec, [])
-    tree = tree or AggregationTree.balanced_binary(max(1, n_workers))
+    tree = AggregationTree.balanced_binary(max(1, n_workers))
     run = run_gla_chunks(array.schema, by_worker, _ApplyPlusGLA(spec), tree)
     return _assemble(spec, run.materialized + run.result)

@@ -513,42 +513,54 @@ class Catalog:
             self.arrays[entry.schema.name] = entry
 
     def _read_manifest(self, path: Path):
+        """An array's catalog entry; a malformed line raises
+        ``FormatError`` naming the file and the line."""
         name = None
         density = DENSE
         dims, attrs, refs = [], [], []
         kinds = {}  # zone name -> kind; dimension zones are int64
-        for line in path.read_text().splitlines():
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "array":
-                name = tok[1]
-                density = tok[2].split("=", 1)[1]
-            elif tok[0] == "dim":
-                dims.append(DimensionSpec(tok[1], int(tok[2]), int(tok[3])))
-                kinds[tok[1]] = KIND_INT64
-            elif tok[0] == "attr":
-                attrs.append(AttributeSpec(tok[1], tok[2]))
-                kinds[tok[1]] = tok[2]
-            elif tok[0] == "chunk":
-                # The id comes first and the file last; older catalogs
-                # hold a worker id between them.
-                pos = [t for t in tok[1:] if "=" not in t]
-                cid, locator = int(pos[0]), str(path.parent / pos[-1])
-                if cid != len(refs):
-                    raise FormatError(f"{path}: chunk {cid} where chunk "
-                                      f"{len(refs)} was expected")
-                fields = dict(t.split("=", 1) for t in tok[1:] if "=" in t)
-                ranges = [tuple(int(v) for v in r.split(":"))
-                          for r in fields["box"].split(",")]
-                box = Box.of(*ranges)
-                zones = {}
-                for z in fields["zones"].split(";"):
-                    if not z:
-                        continue
-                    zname, zrange = z.split("=", 1)
-                    zones[zname] = _parse_zone(zrange, kinds.get(zname), path)
-                refs.append(ChunkRef(cid, box, zones, locator))
+        lineno, line = 0, ""
+        try:
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                tok = line.split()
+                if not tok:
+                    continue
+                if tok[0] == "array":
+                    name = tok[1]
+                    density = tok[2].split("=", 1)[1]
+                elif tok[0] == "dim":
+                    dims.append(DimensionSpec(tok[1], int(tok[2]),
+                                              int(tok[3])))
+                    kinds[tok[1]] = KIND_INT64
+                elif tok[0] == "attr":
+                    attrs.append(AttributeSpec(tok[1], tok[2]))
+                    kinds[tok[1]] = tok[2]
+                elif tok[0] == "chunk":
+                    # The id comes first and the file last; older catalogs
+                    # hold a worker id between them.
+                    pos = [t for t in tok[1:] if "=" not in t]
+                    cid, locator = int(pos[0]), str(path.parent / pos[-1])
+                    if cid != len(refs):
+                        raise FormatError(f"{path}: chunk {cid} where chunk "
+                                          f"{len(refs)} was expected")
+                    fields = dict(t.split("=", 1) for t in tok[1:]
+                                  if "=" in t)
+                    ranges = [tuple(int(v) for v in r.split(":"))
+                              for r in fields["box"].split(",")]
+                    zones = {}
+                    for z in fields["zones"].split(";"):
+                        if not z:
+                            continue
+                        zname, zrange = z.split("=", 1)
+                        zones[zname] = _parse_zone(zrange, kinds.get(zname),
+                                                   path)
+                    refs.append(ChunkRef(cid, Box.of(*ranges), zones,
+                                         locator))
+        except (IndexError, KeyError, ValueError) as exc:
+            raise FormatError(f"{path}:{lineno}: malformed line "
+                              f"{line!r}") from exc
+        if name is None:
+            raise FormatError(f"{path}: no array line")
         schema = ArraySchema(name, tuple(dims), tuple(attrs), density)
         return CatalogEntry(schema, refs)
 

@@ -31,13 +31,11 @@ from scipy import ndimage
 
 from .algebra import (
     AggregateFn,
-    Array,
     BitPattern,
     NeighborhoodShape,
     Predicate,
     apply_plus,
     filter as filter_op,
-    rebox,
     rebox_stored,
     reduce as reduce_op,
     shift,
@@ -57,7 +55,7 @@ from .model import (
     make_dense_chunk,
     make_sparse_chunk,
 )
-from .storage import Catalog
+from .storage import Catalog, chunk_array
 
 N_VALUES = 11  # attributes v1..v11 per raw cell
 
@@ -69,7 +67,10 @@ N_VALUES = 11  # attributes v1..v11 per raw cell
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """All knobs of the benchmark: scale, cooking, grouping, query params."""
+    """All knobs of the benchmark: scale, cooking, grouping, and the
+    attributes Q1 and Q4 read when a call names none. Slabs, tiles and
+    thresholds are the queries' own arguments (inclusive ranges
+    [lo : lo+extent])."""
 
     n_images: int = 8
     cycle_size: int = 4
@@ -85,22 +86,8 @@ class BenchConfig:
     group_radius: float = 20.0         # rho
     group_time_weight: float = 0.1     # alpha
 
-    # Query parameters (slabs are inclusive ranges [lo : lo+extent]).
-    x1: int = 100                      # Q1/Q3 slab corner, local coords
-    y1: int = 100
-    t1: int = 300                      # Q1 slab extents
-    u1: int = 300
-    x2: int = 0                        # Q2 slab corner, local coords
-    y2: int = 0
-    t2: int = 500                      # Q2/Q4 slab extents
-    u2: int = 500
-    t3: int = 200                      # Q3 slab extents
-    u3: int = 200
-    d4: int = 50                       # Q6 tile side
-    d5: int = 2                        # Q6 density threshold
-    d6: int = 10                       # Q8/Q9 tile radius
-    vi_index: int = 1                  # which vi Q1/Q3 aggregate
-    oi_index: int = 1                  # which averaged attribute Q4 uses
+    vi_index: int = 1                  # which vi Q1 aggregates by default
+    oi_index: int = 1                  # which o_i Q4 averages by default
 
     def __post_init__(self):
         if self.n_images <= 0 or self.cycle_size <= 0:
@@ -492,10 +479,7 @@ class Workload:
     def __init__(self, config: BenchConfig, data_dir):
         self.config = config
         self.catalog = Catalog(data_dir)
-        try:
-            self.catalog.load()
-        except (OSError, CatalogError):
-            pass
+        self.catalog.load()
         self.observations = {}   # img_id -> [Observation]
         self.groups = {}         # cycle -> [ObservationGroup]
         self.obs_to_group = {}   # obs_id -> group_id
@@ -567,10 +551,7 @@ class Workload:
         rng = np.random.default_rng(c.seed)
         self._origins = None
         for name in ("images", "image_origin"):
-            try:
-                self.catalog.drop_array(name)
-            except CatalogError:
-                pass
+            self.catalog.drop_array(name)
         images = self.catalog.create_array(self.images_schema())
         self.catalog.create_array(self.image_origin_schema())
 
@@ -620,20 +601,13 @@ class Workload:
                 for k in range(N_VALUES):
                     block = data[k, x_lo:x_hi + 1, y_lo:y_hi + 1]
                     block[ell] = vals[k]
-            chunks = []
-            for x0 in range(0, g, c.chunk_side):
-                for y0 in range(0, g, c.chunk_side):
-                    box = Box((img, x0, y0),
-                              (img, x0 + c.chunk_side - 1,
-                               y0 + c.chunk_side - 1))
-                    values = {
-                        f"v{k}": data[k - 1, x0:x0 + c.chunk_side,
-                                      y0:y0 + c.chunk_side].ravel()
-                        for k in range(1, N_VALUES + 1)}
-                    validity = np.ones(box.volume, dtype=bool)
-                    chunks.append(make_dense_chunk(schema, box, values,
-                                                   validity))
-            self.catalog.add_chunks("images", chunks)
+            # No name holds the chunks: they are freed before the next
+            # image is drawn.
+            self.catalog.add_chunks("images", chunk_array(
+                schema,
+                {f"v{k}": data[k - 1] for k in range(1, N_VALUES + 1)},
+                (1, c.chunk_side, c.chunk_side),
+                Box((img, 0, 0), (img, g - 1, g - 1))))
             del data
 
         origin_chunk = make_dense_chunk(
@@ -665,10 +639,7 @@ class Workload:
         self._require("images", "load")
         origins = self.image_origins()
         for name in ("obs", "obs_center"):
-            try:
-                self.catalog.drop_array(name)
-            except CatalogError:
-                pass
+            self.catalog.drop_array(name)
         self.catalog.create_array(self.obs_schema())
         self.catalog.create_array(self.obs_center_schema())
         self.observations = {}
@@ -780,10 +751,7 @@ class Workload:
         c = self.config
         self._require("obs_center", "cook")
         for name in ("group_center", "group_center_img"):
-            try:
-                self.catalog.drop_array(name)
-            except CatalogError:
-                pass
+            self.catalog.drop_array(name)
         self.catalog.create_array(self.group_center_schema())
         self.catalog.create_array(self.group_center_img_schema())
 
@@ -860,14 +828,10 @@ class Workload:
 
     # -- queries ----------------------------------------------------------
 
-    def q1(self, cycle: int, x1=None, y1=None, t1=None, u1=None, vi=None):
+    def q1(self, cycle: int, *, x1, y1, t1, u1, vi=None):
         """Average of one raw attribute over a local-coordinate slab of the
         cycle's images."""
         c = self.config
-        x1 = c.x1 if x1 is None else x1
-        y1 = c.y1 if y1 is None else y1
-        t1 = c.t1 if t1 is None else t1
-        u1 = c.u1 if u1 is None else u1
         vi = c.vi_index if vi is None else vi
         self._require("images", "load")
         imgs = c.cycle_images(cycle)
@@ -881,15 +845,10 @@ class Workload:
                              n_workers=c.n_workers)
         return self._measured(run)
 
-    def q2(self, cycle: int, x2=None, y2=None, t2=None, u2=None,
-           threshold=None):
+    def q2(self, cycle: int, *, x2, y2, t2, u2, threshold=None):
         """Recook a slab of the cycle's first image with an alternate
         threshold."""
         c = self.config
-        x2 = c.x2 if x2 is None else x2
-        y2 = c.y2 if y2 is None else y2
-        t2 = c.t2 if t2 is None else t2
-        u2 = c.u2 if u2 is None else u2
         threshold = c.cook_threshold if threshold is None else threshold
         img = c.cycle_images(cycle)[0]
         g = c.grid_extent
@@ -897,14 +856,10 @@ class Workload:
                      (min(g - 1, x2 + t2), min(g - 1, y2 + u2)))
         return self._measured(lambda: self.recook(img, region, threshold))
 
-    def q3(self, cycle: int, x1=None, y1=None, t3=None, u3=None):
+    def q3(self, cycle: int, *, x1, y1, t3, u3):
         """Regrid a slab of the cycle's images 10:3 via pattern-selected
         window averaging of every raw attribute."""
         c = self.config
-        x1 = c.x1 if x1 is None else x1
-        y1 = c.y1 if y1 is None else y1
-        t3 = c.t3 if t3 is None else t3
-        u3 = c.u3 if u3 is None else u3
         self._require("images", "load")
         imgs = c.cycle_images(cycle)
         slab = self._clip("images", Box(
@@ -922,16 +877,10 @@ class Workload:
                               n_workers=c.n_workers)
         return self._measured(run)
 
-    def q4(self, cycle: int, gx=None, gy=None, t2=None, u2=None, oi=None):
+    def q4(self, cycle: int, *, gx, gy, t2, u2, oi=None):
         """Average of one cooked attribute over a global-coordinate slab of
         the cycle's observation centers."""
         c = self.config
-        if gx is None:
-            gx = c.domain_extent // 2 - c.domain_extent // 8
-        if gy is None:
-            gy = c.domain_extent // 2 - c.domain_extent // 8
-        t2 = c.domain_extent // 4 if t2 is None else t2
-        u2 = c.domain_extent // 4 if u2 is None else u2
         oi = c.oi_index if oi is None else oi
         self._require("obs_center", "cook")
         imgs = c.cycle_images(cycle)
@@ -946,55 +895,28 @@ class Workload:
                              n_workers=c.n_workers)
         return self._measured(run)
 
-    def _global_slab(self, gx, gy, w, h):
-        c = self.config
-        if gx is None:
-            gx = c.domain_extent // 2 - c.domain_extent // 8
-        if gy is None:
-            gy = c.domain_extent // 2 - c.domain_extent // 8
-        w = c.domain_extent // 4 if w is None else w
-        h = c.domain_extent // 4 if h is None else h
-        return gx, gy, w, h
-
-    def q5(self, cycle: int, gx=None, gy=None, w=None, h=None):
+    def q5(self, cycle: int, *, gx, gy, w, h):
         """Distinct observations with any member cell inside a global slab,
-        over the cycle's images."""
-        c = self.config
-        gx, gy, w, h = self._global_slab(gx, gy, w, h)
+        over the cycle's images: each image's ``obs`` cells are stored in
+        local coordinates, so the slab is moved into the image's frame."""
         self._require("obs", "cook")
-        obs_entry = self.catalog.entry("obs")
-        slab2d = Box((gx, gy), (gx + w, gy + h))
 
         def run():
             origins = self.image_origins()
             ids = set()
-            for img in c.cycle_images(cycle):
+            for img in self.config.cycle_images(cycle):
                 ox, oy = origins[img]
-                ref = obs_entry.ref(img)
-                zx = ref.zone_meta["x"]
-                zy = ref.zone_meta["y"]
-                if zx[0] > zx[1]:
-                    continue  # image with no observations
-                gbox = Box((zx[0] + ox, zy[0] + oy), (zx[1] + ox, zy[1] + oy))
-                if box_intersect(gbox, slab2d) is None:
-                    continue
-                chunk = self.catalog.read("obs", img)
-                arr = Array(self.obs_schema(), [chunk])
-                arr = shift(arr, (0, ox, oy))
-                sub = rebox(arr, Box((img, gx, gy), (img, gx + w, gy + h)))
-                for ch in sub.chunks:
+                local = Box((img, gx - ox, gy - oy),
+                            (img, gx + w - ox, gy + h - oy))
+                for ch in rebox_stored(self.catalog, "obs", local).chunks:
                     ids.update(ch.columns["obs_id"].tolist())
             return {"count": len(ids), "obs_ids": sorted(ids)}
         return self._measured(run)
 
-    def q6(self, cycle: int, gx=None, gy=None, w=None, h=None, d4=None,
-           d5=None):
+    def q6(self, cycle: int, *, gx, gy, w, h, d4, d5):
         """Per image: tiles of side D4 anchored at observation centers that
         contain at least D5 centers."""
         c = self.config
-        gx, gy, w, h = self._global_slab(gx, gy, w, h)
-        d4 = c.d4 if d4 is None else d4
-        d5 = c.d5 if d5 is None else d5
         self._require("obs_center", "cook")
 
         def run():
@@ -1020,9 +942,8 @@ class Workload:
             return out
         return self._measured(run)
 
-    def q7(self, cycle: int, gx=None, gy=None, w=None, h=None):
+    def q7(self, cycle: int, *, gx, gy, w, h):
         """Group centers of one cycle inside a global slab."""
-        gx, gy, w, h = self._global_slab(gx, gy, w, h)
         self._require("group_center", "group")
         slab = self._clip("group_center",
                           Box((cycle, gx, gy), (cycle, gx + w, gy + h)))
@@ -1070,12 +991,10 @@ class Workload:
             tiles.append((gid, img, shift(tile, (0, ox, oy))))
         return tiles
 
-    def q8(self, cycle: int, gx=None, gy=None, w=None, h=None, d6=None):
+    def q8(self, cycle: int, *, gx, gy, w, h, d6):
         """Raw tiles around the trajectories of groups having any per-image
         center inside a global slab."""
         c = self.config
-        gx, gy, w, h = self._global_slab(gx, gy, w, h)
-        d6 = c.d6 if d6 is None else d6
         self._require("group_center_img", "group")
 
         def run():
@@ -1089,12 +1008,9 @@ class Workload:
             return self._group_tiles(cycle, ids, d6)
         return self._measured(run)
 
-    def q9(self, cycle: int, gx=None, gy=None, w=None, h=None, d6=None):
+    def q9(self, cycle: int, *, gx, gy, w, h, d6):
         """Like Q8, but groups qualify when any member observation's cells
         intersect the slab."""
-        c = self.config
-        gx, gy, w, h = self._global_slab(gx, gy, w, h)
-        d6 = c.d6 if d6 is None else d6
         self._require("group_center_img", "group")
         if not self.obs_to_group:
             raise DependencyError(
@@ -1102,7 +1018,7 @@ class Workload:
                 "phase in this session first")
 
         def run():
-            value, _stats = self.q5(cycle, gx, gy, w, h)
+            value, _stats = self.q5(cycle, gx=gx, gy=gy, w=w, h=h)
             ids = {self.obs_to_group[oid] for oid in value["obs_ids"]
                    if oid in self.obs_to_group}
             return self._group_tiles(cycle, ids, d6)

@@ -179,6 +179,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "plan" in out
 
+    def test_query_slab_in_config_file_rejected(self, tmp_path, capsys):
+        """A slab is a query argument: a config file that sets one fails
+        instead of running with the slab ignored."""
+        cfg_path = tmp_path / "bench.cfg"
+        write_small_config(cfg_path, x1=5)
+        assert main(["--config", str(cfg_path),
+                     "--data-dir", str(tmp_path / "d"),
+                     "--phases", "load"]) == 1
+        assert "unknown config key 'x1'" in capsys.readouterr().err
+
     def test_error_paths_return_one(self, tmp_path, capsys):
         # Unknown phase.
         assert main(["--phases", "warp",
@@ -192,6 +202,12 @@ class TestMain:
                      "--phases", "q1", "--repetitions", "1",
                      "--param-configs", "1"]) == 1
         assert "error:" in capsys.readouterr().err
+        # Config line without "=".
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text("n_images 4\n")
+        assert main(["--config", str(bad_cfg),
+                     "--data-dir", str(tmp_path / "d3")]) == 1
+        assert "expected key = value" in capsys.readouterr().err
         # Broken plan script.
         plan_path = tmp_path / "bad.plan"
         plan_path.write_text("a = NOPE(x=1)\n")

@@ -519,6 +519,42 @@ class TestCatalog:
         with pytest.raises(FormatError):
             Catalog(tmp_path).load()
 
+    def _damage_manifest(self, rng, tmp_path, edit):
+        """Save a catalog, rewrite one manifest line with ``edit``, and
+        return the line's number."""
+        cat = Catalog(tmp_path)
+        self._populate(cat, rng)
+        cat.save()
+        manifest = tmp_path / "s" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        for i, line in enumerate(lines):
+            damaged = edit(line)
+            if damaged != line:
+                lines[i] = damaged
+                break
+        manifest.write_text("\n".join(lines) + "\n")
+        return i + 1
+
+    def test_manifest_chunk_line_without_box_rejected(self, rng, tmp_path):
+        lineno = self._damage_manifest(
+            rng, tmp_path, lambda line: " ".join(
+                t for t in line.split() if not t.startswith("box=")))
+        with pytest.raises(FormatError, match=f"manifest.txt:{lineno}:"):
+            Catalog(tmp_path).load()
+
+    def test_manifest_dim_with_bad_bound_rejected(self, rng, tmp_path):
+        lineno = self._damage_manifest(
+            rng, tmp_path, lambda line: "dim x 0 nine"
+            if line.startswith("dim x ") else line)
+        with pytest.raises(FormatError, match=f"manifest.txt:{lineno}:"):
+            Catalog(tmp_path).load()
+
+    def test_manifest_without_array_line_rejected(self, rng, tmp_path):
+        self._damage_manifest(rng, tmp_path, lambda line: ""
+                              if line.startswith("array ") else line)
+        with pytest.raises(FormatError, match="no array line"):
+            Catalog(tmp_path).load()
+
     def test_duplicate_create_rejected(self, rng, tmp_path):
         cat = Catalog(tmp_path)
         self._populate(cat, rng)

@@ -249,6 +249,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             BenchConfig.from_mapping({"bogus": "1"})
 
+    @pytest.mark.parametrize("key", ["x1", "y1", "t1", "u1", "x2", "y2",
+                                     "t2", "u2", "t3", "u3", "d4", "d5",
+                                     "d6"])
+    def test_query_slabs_and_tiles_are_not_config_keys(self, key):
+        """Slabs and tiles are each query call's arguments: a config that
+        sets one is rejected, not accepted and ignored."""
+        with pytest.raises(ConfigError, match="unknown config key"):
+            BenchConfig.from_mapping({key: "5"})
+
 
 # ---------------------------------------------------------------------------
 # Cooking
@@ -561,7 +570,7 @@ class TestWorkloadEndToEnd:
     def test_queries_missing_dependency(self, tmp_path):
         wl = Workload(small_config(), tmp_path / "empty")
         with pytest.raises(DependencyError):
-            wl.q1(0)
+            wl.q1(0, x1=100, y1=100, t1=300, u1=300)
         with pytest.raises(DependencyError):
             wl.cook()
         with pytest.raises(DependencyError):
@@ -597,7 +606,7 @@ class TestQueries:
         """q9 runs q5 inside its own measurement; q5's measurement must
         not hide q9's reads."""
         calls = counting_reads(monkeypatch)
-        _value, stats = cooked.q9(0)
+        _value, stats = cooked.q9(0, gx=750, gy=750, w=500, h=500, d6=10)
         assert stats.chunks_read == len(calls) > 0
         assert stats.bytes_read == sum(calls)
 
@@ -616,13 +625,14 @@ class TestQueries:
         assert counts == [counts[1] + 1, counts[1], counts[1]]
 
     def test_concurrent_queries_keep_their_own_counts(self, cooked):
-        _value, solo = cooked.q1(0)
+        slab = dict(x1=100, y1=100, t1=300, u1=300)
+        _value, solo = cooked.q1(0, **slab)
         assert solo.chunks_read > 0
         seen = []
 
         def client():
             for _ in range(50):
-                seen.append(cooked.q1(0)[1])
+                seen.append(cooked.q1(0, **slab)[1])
         threads = [threading.Thread(target=client) for _ in range(2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -765,7 +775,8 @@ class TestQueries:
         for cycle, groups in cooked.groups.items():
             assert [(g.group_id, g.members) for g in wl.groups[cycle]] == \
                 [(g.group_id, g.members) for g in groups]
-        for q, kwargs in (("q1", {}), ("q4", {}),
+        for q, kwargs in (("q1", dict(x1=100, y1=100, t1=300, u1=300)),
+                          ("q4", dict(gx=750, gy=750, t2=500, u2=500)),
                           ("q5", dict(gx=0, gy=0, w=1999, h=1999))):
             a, _ = getattr(cooked, q)(0, **kwargs)
             b, _ = getattr(wl, q)(0, **kwargs)
