@@ -20,7 +20,6 @@ from .algebra import (
     rebox_stored,
     reduce,
     shift,
-    sparse_array,
 )
 from .errors import (
     CatalogError,
@@ -29,7 +28,6 @@ from .errors import (
     DomainError,
     EngineError,
     FormatError,
-    LayoutError,
     PlanError,
     SchemaError,
     ShapeError,
@@ -57,8 +55,6 @@ from .model import (
     Chunk,
     DimensionSpec,
     box_intersect,
-    cell_coords,
-    cell_offset,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -84,7 +80,6 @@ from .workload import (
     ObservationGroup,
     Workload,
     boundary_polygon,
-    desk_config,
     group_cycle,
 )
 

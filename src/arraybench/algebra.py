@@ -88,9 +88,6 @@ def dense_array(schema: ArraySchema, data: dict, chunk_shape=None) -> Array:
     return Array(schema, chunk_array(schema, data, shape))
 
 
-sparse_array = dense_array
-
-
 def materialize(array: Array, attr: str):
     """Assemble one attribute into a full numpy grid over the array box,
     plus the validity grid. Intended for tests and small arrays."""
@@ -193,9 +190,6 @@ class BitPattern:
         n = hi - lo + 1
         tiled = np.tile(bits, n // len(bits) + 1)[:n]
         return np.nonzero(tiled)[0] + lo
-
-    def ones_per_period(self) -> int:
-        return self.pattern.count("1")
 
 
 @dataclass(frozen=True)
@@ -645,14 +639,18 @@ def reduce(array: Array, keep_dims, aggs, n_workers: int = 1):  # noqa: A001
     by_worker = _round_robin(array.chunks, n_workers)
     groups = run_gla_chunks(array.schema, by_worker, gla, tree).result \
         if by_worker else None
+    attr_specs = [AttributeSpec(agg.out_name, agg.out_kind(array.schema))
+                  for agg in aggs]
     if not keep_dims:
-        return {agg.out_name: v.tolist()[0]
-                for agg, v in zip(aggs, groups.values())} if groups else {}
+        if groups is None:
+            return {}
+        # A user aggregate's value stays as its GLA returned it.
+        return {spec.name: (v if agg.kind == "user"
+                            else v.astype(spec.dtype)).tolist()[0]
+                for agg, spec, v in zip(aggs, attr_specs, groups.values())}
 
     dims = tuple(d for d in array.schema.dims if d.name in keep_dims)
     dims = tuple(sorted(dims, key=lambda d: keep_dims.index(d.name)))
-    attr_specs = [AttributeSpec(agg.out_name, agg.out_kind(array.schema))
-                  for agg in aggs]
     schema = ArraySchema(f"{array.schema.name}_reduced", dims,
                          tuple(attr_specs), SPARSE)
     if groups is None:

@@ -30,16 +30,20 @@ REPETITIONS = 10
 
 def read_config_file(path) -> dict:
     """Flat ``key = value`` text; ``#`` starts a comment."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     mapping = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        mapping[key.strip()] = value.strip()
     return mapping
 
 

@@ -13,10 +13,6 @@ class DomainError(EngineError):
     """Coordinates or boxes outside the legal domain."""
 
 
-class LayoutError(EngineError):
-    """Operation invoked on the wrong chunk layout."""
-
-
 class ConfigError(EngineError):
     """Invalid configuration value."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, LayoutError, SchemaError
+from .errors import DomainError, SchemaError
 
 INT64_MAX = np.iinfo(np.int64).max
 INT64_MIN = np.iinfo(np.int64).min
@@ -104,9 +104,6 @@ class Box:
         for e in self.extents:
             n *= e
         return n
-
-    def contains_point(self, coords) -> bool:
-        return all(l <= c <= h for l, c, h in zip(self.lo, coords, self.hi))
 
     def contains_box(self, other: "Box") -> bool:
         return all(l <= ol and oh <= h
@@ -319,31 +316,3 @@ def make_sparse_chunk(schema: ArraySchema, box: Box, dim_values: dict,
     meta = compute_zone_meta(schema, box, SPARSE, columns, dim_columns=dim_columns)
     return Chunk(chunk_id, box, SPARSE, columns, dim_columns=dim_columns,
                  zone_meta=meta)
-
-
-def cell_coords(chunk: Chunk, offset: int) -> tuple:
-    """Global coordinates of the cell at a row-major offset in a dense chunk."""
-    if chunk.layout != DENSE:
-        raise LayoutError("cell_coords is defined only for dense chunks")
-    n = chunk.box.volume
-    if not 0 <= offset < n:
-        raise DomainError(f"offset {offset} outside [0, {n})")
-    coords = []
-    for extent, lo in zip(reversed(chunk.box.extents), reversed(chunk.box.lo)):
-        coords.append(offset % extent + lo)
-        offset //= extent
-    return tuple(reversed(coords))
-
-
-def cell_offset(chunk: Chunk, coords) -> int:
-    """Row-major offset of global coordinates inside a dense chunk."""
-    if chunk.layout != DENSE:
-        raise LayoutError("cell_offset is defined only for dense chunks")
-    if len(coords) != chunk.box.ndim:
-        raise DomainError("coordinate dimensionality mismatch")
-    if not chunk.box.contains_point(coords):
-        raise DomainError(f"coordinates {tuple(coords)} outside chunk box {chunk.box}")
-    off = 0
-    for c, lo, extent in zip(coords, chunk.box.lo, chunk.box.extents):
-        off = off * extent + (int(c) - lo)
-    return off

@@ -519,9 +519,13 @@ class Catalog:
         density = DENSE
         dims, attrs, refs = [], [], []
         kinds = {}  # zone name -> kind; dimension zones are int64
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise FormatError(f"cannot read manifest {path}: {exc}") from exc
         lineno, line = 0, ""
         try:
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for lineno, line in enumerate(text.splitlines(), 1):
                 tok = line.split()
                 if not tok:
                     continue

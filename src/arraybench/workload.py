@@ -10,6 +10,13 @@ The workload simulates a telescope pipeline over a catalog of stored arrays:
 * ``group_center`` sparse 3-D (cycle, x, y) -> group_id, one chunk per cycle
 * ``group_center_img`` sparse 4-D (cycle, img_id, x, y) -> group_id,
                    one chunk per image
+* ``obs_group``    sparse 2-D (cycle, obs_id) -> group_id of every
+                   observation, one chunk per cycle
+
+Every derived array is tiled by ``storage.chunk_array`` (one tile per
+image, cycle or (cycle, image); a tile without cells has no chunk) and read
+back through ``rebox_stored``, so each phase and query works from the
+catalog alone, in a fresh process too.
 
 Cooking extracts observations: 8-connected components of cells whose v1
 clears a threshold, labeled by the minimum global cell id (one-pass
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -52,8 +59,6 @@ from .model import (
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
-    make_dense_chunk,
-    make_sparse_chunk,
 )
 from .storage import Catalog, chunk_array
 
@@ -67,10 +72,9 @@ N_VALUES = 11  # attributes v1..v11 per raw cell
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """All knobs of the benchmark: scale, cooking, grouping, and the
-    attributes Q1 and Q4 read when a call names none. Slabs, tiles and
-    thresholds are the queries' own arguments (inclusive ranges
-    [lo : lo+extent])."""
+    """All knobs of the benchmark: scale, cooking and grouping. Slabs,
+    tiles, thresholds and attributes are the queries' own arguments
+    (inclusive ranges [lo : lo+extent])."""
 
     n_images: int = 8
     cycle_size: int = 4
@@ -86,9 +90,6 @@ class BenchConfig:
     group_radius: float = 20.0         # rho
     group_time_weight: float = 0.1     # alpha
 
-    vi_index: int = 1                  # which vi Q1 aggregates by default
-    oi_index: int = 1                  # which o_i Q4 averages by default
-
     def __post_init__(self):
         if self.n_images <= 0 or self.cycle_size <= 0:
             raise ConfigError("n_images and cycle_size must be positive")
@@ -101,10 +102,6 @@ class BenchConfig:
             raise ConfigError("grid_extent must be divisible by chunk_side")
         if self.grid_extent > self.domain_extent:
             raise ConfigError("grid larger than domain")
-        if not (1 <= self.vi_index <= N_VALUES):
-            raise ConfigError("vi_index out of range")
-        if not (1 <= self.oi_index <= N_VALUES):
-            raise ConfigError("oi_index out of range")
 
     @property
     def n_cycles(self) -> int:
@@ -127,11 +124,6 @@ class BenchConfig:
             cur = getattr(base, key)
             kwargs[key] = type(cur)(raw)
         return cls(**kwargs)
-
-
-def desk_config(**overrides) -> BenchConfig:
-    """The small-scale default configuration."""
-    return replace(BenchConfig(), **overrides) if overrides else BenchConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +465,12 @@ _O_ATTRS = tuple(AttributeSpec(f"o{k}", KIND_FLOAT64)
                  for k in range(1, N_VALUES + 1))
 
 
+def _int_columns(names, rows) -> dict:
+    """Rows of integers as one int64 column per name."""
+    cols = np.array(rows, dtype=np.int64).reshape(-1, len(names)).T
+    return dict(zip(names, cols))
+
+
 class Workload:
     """Benchmark driver bound to one catalog directory and configuration."""
 
@@ -482,7 +480,6 @@ class Workload:
         self.catalog.load()
         self.observations = {}   # img_id -> [Observation]
         self.groups = {}         # cycle -> [ObservationGroup]
-        self.obs_to_group = {}   # obs_id -> group_id
         self._origins = None     # see image_origins
 
     # -- schemas ----------------------------------------------------------
@@ -532,6 +529,13 @@ class Workload:
             DimensionSpec("img_id", 0, c.n_images - 1),
             DimensionSpec("x", 0, c.domain_extent - 1),
             DimensionSpec("y", 0, c.domain_extent - 1)),
+            (AttributeSpec("group_id", KIND_INT64),), "sparse")
+
+    def obs_group_schema(self) -> ArraySchema:
+        c = self.config
+        return ArraySchema("obs_group", (
+            DimensionSpec("cycle", 0, c.n_cycles - 1),
+            DimensionSpec("obs_id", 0, c.n_images * c.grid_extent ** 2 - 1)),
             (AttributeSpec("group_id", KIND_INT64),), "sparse")
 
     def _require(self, array: str, phase: str):
@@ -610,13 +614,10 @@ class Workload:
                 Box((img, 0, 0), (img, g - 1, g - 1))))
             del data
 
-        origin_chunk = make_dense_chunk(
+        self.catalog.add_chunks("image_origin", chunk_array(
             self.image_origin_schema(),
-            Box((0,), (c.n_images - 1,)),
-            {"orig_x": np.array([o[0] for o in origins], dtype=np.int64),
-             "orig_y": np.array([o[1] for o in origins], dtype=np.int64)},
-            np.ones(c.n_images, dtype=bool))
-        self.catalog.add_chunks("image_origin", [origin_chunk])
+            {"orig_x": [o[0] for o in origins],
+             "orig_y": [o[1] for o in origins]}, (c.n_images,)))
         self.catalog.save()
         assert len(images.chunk_index) == c.n_images * c.tiles_per_image
 
@@ -624,17 +625,18 @@ class Workload:
         """The global (x, y) origin of every image: read from the catalog
         on first use, and kept until the next ``generate``."""
         if self._origins is None:
-            self._require("image_origin", "load")
-            chunk = self.catalog.read("image_origin", 0)
-            self._origins = tuple(zip(chunk.columns["orig_x"].tolist(),
-                                      chunk.columns["orig_y"].tolist()))
+            box = self._require("image_origin", "load").schema.box
+            cells = rebox_stored(self.catalog, "image_origin", box).cells()
+            self._origins = tuple(zip(cells.columns["orig_x"].tolist(),
+                                      cells.columns["orig_y"].tolist()))
         return list(self._origins)
 
     # -- cooking ----------------------------------------------------------
 
     def cook(self):
-        """Extract observations from every image; persist obs/obs_center
-        (one chunk of each per image)."""
+        """Extract observations from every image; persist their cells in
+        obs and their centers in obs_center (one chunk of each per image
+        with observations)."""
         c = self.config
         self._require("images", "load")
         origins = self.image_origins()
@@ -642,48 +644,28 @@ class Workload:
             self.catalog.drop_array(name)
         self.catalog.create_array(self.obs_schema())
         self.catalog.create_array(self.obs_center_schema())
-        self.observations = {}
         whole = Box((0, 0), (c.grid_extent - 1, c.grid_extent - 1))
-        for img in range(c.n_images):
-            obs = self.recook(img, whole, c.cook_threshold)
-            self.observations[img] = obs
-            self._persist_image_observations(img, obs, origins[img])
-        self.catalog.save()
-
-    def _persist_image_observations(self, img: int, obs: list, origin):
-        c = self.config
-        obs_schema = self.obs_schema()
-        center_schema = self.obs_center_schema()
-        img_box = Box((img, 0, 0),
-                      (img, c.grid_extent - 1, c.grid_extent - 1))
-        if obs:
-            xs = np.concatenate([o.cells_x for o in obs])
-            ys = np.concatenate([o.cells_y for o in obs])
-            ids = np.concatenate([np.full(o.size, o.obs_id, dtype=np.int64)
-                                  for o in obs])
-        else:
-            xs = ys = ids = np.empty(0, dtype=np.int64)
-        chunk = make_sparse_chunk(
-            obs_schema, img_box,
-            {"img_id": np.full(len(xs), img, dtype=np.int64),
-             "x": xs.astype(np.int64), "y": ys.astype(np.int64)},
-            {"obs_id": ids})
-        self.catalog.add_chunks("obs", [chunk])
-
-        gx = np.array([int(round(o.center[0])) + origin[0] for o in obs],
-                      dtype=np.int64)
-        gy = np.array([int(round(o.center[1])) + origin[1] for o in obs],
-                      dtype=np.int64)
-        center_box = Box((img, 0, 0), (img, c.domain_extent - 1,
-                                       c.domain_extent - 1))
-        attrs = {"obs_id": np.array([o.obs_id for o in obs], dtype=np.int64)}
+        self.observations = {img: self.recook(img, whole, c.cook_threshold)
+                             for img in range(c.n_images)}
+        obs = [o for img in range(c.n_images) for o in self.observations[img]]
+        sizes = [o.size for o in obs]
+        self.catalog.add_chunks("obs", chunk_array(self.obs_schema(), {
+            "img_id": np.repeat([o.img_id for o in obs], sizes),
+            "x": np.concatenate([o.cells_x for o in obs] or [[]]),
+            "y": np.concatenate([o.cells_y for o in obs] or [[]]),
+            "obs_id": np.repeat([o.obs_id for o in obs], sizes)},
+            (1, c.grid_extent, c.grid_extent)))
+        centers = {
+            "img_id": [o.img_id for o in obs],
+            "x": [round(o.center[0]) + origins[o.img_id][0] for o in obs],
+            "y": [round(o.center[1]) + origins[o.img_id][1] for o in obs],
+            "obs_id": [o.obs_id for o in obs]}
         for k in range(1, N_VALUES + 1):
-            attrs[f"o{k}"] = np.array([o.attrs[f"o{k}"] for o in obs])
-        chunk = make_sparse_chunk(
-            center_schema, center_box,
-            {"img_id": np.full(len(obs), img, dtype=np.int64),
-             "x": gx, "y": gy}, attrs)
-        self.catalog.add_chunks("obs_center", [chunk])
+            centers[f"o{k}"] = [o.attrs[f"o{k}"] for o in obs]
+        self.catalog.add_chunks("obs_center", chunk_array(
+            self.obs_center_schema(), centers,
+            (1, c.domain_extent, c.domain_extent)))
+        self.catalog.save()
 
     def recook(self, img: int, region: Box, threshold: int) -> list:
         """Cook one image within a 2-D region of local coordinates, at the
@@ -747,68 +729,54 @@ class Workload:
 
     def group(self):
         """Cluster each cycle's observation centers; persist group_center
-        (one chunk per cycle) and group_center_img (one chunk per image)."""
+        (one chunk per cycle), group_center_img (one chunk per image) and
+        obs_group, every observation's group (one chunk per cycle)."""
         c = self.config
         self._require("obs_center", "cook")
-        for name in ("group_center", "group_center_img"):
+        for name in ("group_center", "group_center_img", "obs_group"):
             self.catalog.drop_array(name)
-        self.catalog.create_array(self.group_center_schema())
-        self.catalog.create_array(self.group_center_img_schema())
+        for schema in (self.group_center_schema(),
+                       self.group_center_img_schema(),
+                       self.obs_group_schema()):
+            self.catalog.create_array(schema)
 
         self.groups = {}
         for cycle in range(c.n_cycles):
-            centers_by_img = {}
-            for img in c.cycle_images(cycle):
-                chunk = self.catalog.read("obs_center", img)
-                pairs = sorted(zip(
-                    chunk.columns["obs_id"].tolist(),
-                    zip(chunk.dim_columns["x"].tolist(),
-                        chunk.dim_columns["y"].tolist())))
-                centers_by_img[img] = [(oid, (float(x), float(y)))
-                                       for oid, (x, y) in pairs]
+            imgs = c.cycle_images(cycle)
+            cells = rebox_stored(self.catalog, "obs_center", Box(
+                (imgs[0], 0, 0),
+                (imgs[-1], c.domain_extent - 1, c.domain_extent - 1)),
+                columns=["obs_id"]).cells()
+            centers_by_img = {img: [] for img in imgs}
+            for oid, img, x, y in sorted(zip(
+                    cells.columns["obs_id"].tolist(),
+                    cells.coords["img_id"].tolist(),
+                    cells.coords["x"].tolist(), cells.coords["y"].tolist())):
+                centers_by_img[img].append((oid, (float(x), float(y))))
             self.groups[cycle] = group_cycle(
                 cycle, centers_by_img, c.group_radius, c.group_time_weight,
                 c.cycle_size)
-        self.obs_to_group = {}
-        gc_schema = self.group_center_schema()
-        gci_schema = self.group_center_img_schema()
-        gci_chunks = {img: ([], [], [], [])
-                      for img in range(c.n_images)}
-        for cycle, groups in self.groups.items():
-            gx, gy, gid = [], [], []
-            for grp in groups:
-                for oid in grp.members:
-                    self.obs_to_group[oid] = grp.group_id
-                gx.append(int(round(grp.center[0])))
-                gy.append(int(round(grp.center[1])))
-                gid.append(grp.group_id)
-                for img, (cx, cy) in grp.per_img_centers.items():
-                    xs, ys, ids, _ = gci_chunks[img]
-                    xs.append(int(round(cx)))
-                    ys.append(int(round(cy)))
-                    ids.append(grp.group_id)
-            box = Box((cycle, 0, 0), (cycle, c.domain_extent - 1,
-                                      c.domain_extent - 1))
-            chunk = make_sparse_chunk(
-                gc_schema, box,
-                {"cycle": np.full(len(gid), cycle, dtype=np.int64),
-                 "x": np.array(gx, dtype=np.int64),
-                 "y": np.array(gy, dtype=np.int64)},
-                {"group_id": np.array(gid, dtype=np.int64)})
-            self.catalog.add_chunks("group_center", [chunk])
-        for img in range(c.n_images):
-            cycle = img // c.cycle_size
-            xs, ys, ids, _ = gci_chunks[img]
-            box = Box((cycle, img, 0, 0),
-                      (cycle, img, c.domain_extent - 1, c.domain_extent - 1))
-            chunk = make_sparse_chunk(
-                gci_schema, box,
-                {"cycle": np.full(len(ids), cycle, dtype=np.int64),
-                 "img_id": np.full(len(ids), img, dtype=np.int64),
-                 "x": np.array(xs, dtype=np.int64),
-                 "y": np.array(ys, dtype=np.int64)},
-                {"group_id": np.array(ids, dtype=np.int64)})
-            self.catalog.add_chunks("group_center_img", [chunk])
+
+        groups = [g for cycle in range(c.n_cycles) for g in self.groups[cycle]]
+        dom = c.domain_extent
+        self.catalog.add_chunks("group_center", chunk_array(
+            self.group_center_schema(), _int_columns(
+                ("cycle", "x", "y", "group_id"),
+                [(g.cycle, round(g.center[0]), round(g.center[1]),
+                  g.group_id) for g in groups]), (1, dom, dom)))
+        self.catalog.add_chunks("group_center_img", chunk_array(
+            self.group_center_img_schema(), _int_columns(
+                ("cycle", "img_id", "x", "y", "group_id"),
+                [(g.cycle, img, round(x), round(y), g.group_id)
+                 for g in groups
+                 for img, (x, y) in g.per_img_centers.items()]),
+            (1, 1, dom, dom)))
+        self.catalog.add_chunks("obs_group", chunk_array(
+            self.obs_group_schema(), _int_columns(
+                ("cycle", "obs_id", "group_id"),
+                [(g.cycle, oid, g.group_id)
+                 for g in groups for oid in g.members]),
+            (1, c.n_images * c.grid_extent ** 2)))
         self.catalog.save()
 
     # -- measurement helper -----------------------------------------------
@@ -826,13 +794,20 @@ class Workload:
             raise ConfigError(f"query box {box} outside {name} domain")
         return inter
 
+    def _ids(self, name: str, box: Box, attr: str) -> set:
+        """The distinct values of ``attr`` over the stored cells in
+        ``box``."""
+        ids = set()
+        for ch in rebox_stored(self.catalog, name, box, columns=[attr]).chunks:
+            ids.update(ch.columns[attr].tolist())
+        return ids
+
     # -- queries ----------------------------------------------------------
 
-    def q1(self, cycle: int, *, x1, y1, t1, u1, vi=None):
+    def q1(self, cycle: int, *, x1, y1, t1, u1, vi=1):
         """Average of one raw attribute over a local-coordinate slab of the
         cycle's images."""
         c = self.config
-        vi = c.vi_index if vi is None else vi
         self._require("images", "load")
         imgs = c.cycle_images(cycle)
         slab = self._clip("images", Box(
@@ -877,11 +852,10 @@ class Workload:
                               n_workers=c.n_workers)
         return self._measured(run)
 
-    def q4(self, cycle: int, *, gx, gy, t2, u2, oi=None):
+    def q4(self, cycle: int, *, gx, gy, t2, u2, oi=1):
         """Average of one cooked attribute over a global-coordinate slab of
         the cycle's observation centers."""
         c = self.config
-        oi = c.oi_index if oi is None else oi
         self._require("obs_center", "cook")
         imgs = c.cycle_images(cycle)
         slab = self._clip("obs_center", Box(
@@ -906,39 +880,39 @@ class Workload:
             ids = set()
             for img in self.config.cycle_images(cycle):
                 ox, oy = origins[img]
-                local = Box((img, gx - ox, gy - oy),
-                            (img, gx + w - ox, gy + h - oy))
-                for ch in rebox_stored(self.catalog, "obs", local).chunks:
-                    ids.update(ch.columns["obs_id"].tolist())
+                ids |= self._ids("obs", Box((img, gx - ox, gy - oy),
+                                            (img, gx + w - ox, gy + h - oy)),
+                                 "obs_id")
             return {"count": len(ids), "obs_ids": sorted(ids)}
         return self._measured(run)
 
     def q6(self, cycle: int, *, gx, gy, w, h, d4, d5):
         """Per image: tiles of side D4 anchored at observation centers that
-        contain at least D5 centers."""
+        contain at least D5 centers. The window spans one image, so one
+        stencil over the cycle's slab serves every image."""
         c = self.config
         self._require("obs_center", "cook")
+        imgs = c.cycle_images(cycle)
+        slab = self._clip("obs_center", Box((imgs[0], gx, gy),
+                                            (imgs[-1], gx + w, gy + h)))
 
         def run():
-            out = {}
-            for img in c.cycle_images(cycle):
-                slab = self._clip("obs_center",
-                                  Box((img, gx, gy), (img, gx + w, gy + h)))
-                arr = rebox_stored(self.catalog, "obs_center", slab,
-                                   columns=["obs_id"])
-                if arr.valid_count() == 0:
-                    out[img] = []
-                    continue
-                shape = NeighborhoodShape.of((0, 0), (0, d4 - 1), (0, d4 - 1))
-                dens = apply_plus(arr, shape, "valid",
-                                  AggregateFn("count", None, "density"),
-                                  boundary="merge", n_workers=c.n_workers)
-                dense_enough = filter_op(
-                    dens, Predicate.of(ranges={"density": (d5, INT64_MAX)}))
-                cells = dense_enough.cells()
-                out[img] = sorted(zip(cells.coords["x"].tolist(),
-                                      cells.coords["y"].tolist(),
-                                      cells.columns["density"].tolist()))
+            out = {img: [] for img in imgs}
+            arr = rebox_stored(self.catalog, "obs_center", slab,
+                               columns=["obs_id"])
+            if arr.valid_count() == 0:
+                return out
+            shape = NeighborhoodShape.of((0, 0), (0, d4 - 1), (0, d4 - 1))
+            dens = apply_plus(arr, shape, "valid",
+                              AggregateFn("count", None, "density"),
+                              boundary="merge", n_workers=c.n_workers)
+            cells = filter_op(dens, Predicate.of(
+                ranges={"density": (d5, INT64_MAX)})).cells()
+            for img, *row in sorted(zip(cells.coords["img_id"].tolist(),
+                                        cells.coords["x"].tolist(),
+                                        cells.coords["y"].tolist(),
+                                        cells.columns["density"].tolist())):
+                out[img].append(tuple(row))
             return out
         return self._measured(run)
 
@@ -947,14 +921,8 @@ class Workload:
         self._require("group_center", "group")
         slab = self._clip("group_center",
                           Box((cycle, gx, gy), (cycle, gx + w, gy + h)))
-
-        def run():
-            arr = rebox_stored(self.catalog, "group_center", slab)
-            ids = set()
-            for ch in arr.chunks:
-                ids.update(ch.columns["group_id"].tolist())
-            return sorted(ids)
-        return self._measured(run)
+        return self._measured(
+            lambda: sorted(self._ids("group_center", slab, "group_id")))
 
     def _group_tiles(self, cycle: int, group_ids, d6):
         """Raw D6-radius tiles around every per-image center of the given
@@ -1001,25 +969,24 @@ class Workload:
             slab = self._clip("group_center_img", Box(
                 (cycle, 0, gx, gy),
                 (cycle, c.n_images - 1, gx + w, gy + h)))
-            arr = rebox_stored(self.catalog, "group_center_img", slab)
-            ids = set()
-            for ch in arr.chunks:
-                ids.update(ch.columns["group_id"].tolist())
+            ids = self._ids("group_center_img", slab, "group_id")
             return self._group_tiles(cycle, ids, d6)
         return self._measured(run)
 
     def q9(self, cycle: int, *, gx, gy, w, h, d6):
         """Like Q8, but groups qualify when any member observation's cells
-        intersect the slab."""
+        intersect the slab: Q5 finds the observations, and ``obs_group``
+        maps them to their groups."""
         self._require("group_center_img", "group")
-        if not self.obs_to_group:
-            raise DependencyError(
-                "observation-to-group mapping missing; run the 'group' "
-                "phase in this session first")
+        self._require("obs_group", "group")
 
         def run():
-            value, _stats = self.q5(cycle, gx=gx, gy=gy, w=w, h=h)
-            ids = {self.obs_to_group[oid] for oid in value["obs_ids"]
-                   if oid in self.obs_to_group}
+            found = self.q5(cycle, gx=gx, gy=gy, w=w, h=h)[0]["obs_ids"]
+            ids = set()
+            if found:
+                cells = rebox_stored(self.catalog, "obs_group", Box(
+                    (cycle, found[0]), (cycle, found[-1]))).cells()
+                hit = np.isin(cells.coords["obs_id"], found)
+                ids = set(cells.columns["group_id"][hit].tolist())
             return self._group_tiles(cycle, ids, d6)
         return self._measured(run)

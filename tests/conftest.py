@@ -10,7 +10,6 @@ from arraybench import (
     Box,
     DimensionSpec,
     dense_array,
-    sparse_array,
 )
 
 
@@ -44,7 +43,7 @@ def make_sparse_2d(rng, nx, ny, n_cells, n_attrs=2, chunk_shape=None,
     cols = {f"a{k}": rng.integers(-50, 51, n_cells).astype(np.int64)
             for k in range(n_attrs)}
     data = {"x": xs, "y": ys, **cols}
-    arr = sparse_array(schema, data, chunk_shape=chunk_shape)
+    arr = dense_array(schema, data, chunk_shape=chunk_shape)
     return arr, {"x": xs, "y": ys}, cols
 
 

@@ -32,7 +32,7 @@ from arraybench.gla import run_gla_chunks
 from arraybench.model import ArraySchema, AttributeSpec, DimensionSpec
 from arraybench.plans import result_digest
 from arraybench.storage import tile_box, write_chunk
-from arraybench.workload import desk_config
+from arraybench.workload import BenchConfig
 from tests.conftest import make_dense_2d
 from tests.test_gla import ALL_AGGS, make_chunks, oracle_values
 from tests.test_stencil import result_map_valid, stencil_oracle
@@ -346,16 +346,16 @@ def test_benchmark_is_deterministic(tmp_path):
     under five minutes; repeating it reproduces every result digest, and
     the query digests do not depend on the worker count."""
     start = time.perf_counter()
-    r1 = run_benchmark(desk_config(), tmp_path / "d1")
+    r1 = run_benchmark(BenchConfig(), tmp_path / "d1")
     assert time.perf_counter() - start < 300
 
     digest_stages = ["cook", "group"] + [f"q{i}" for i in range(1, 10)]
     # Repeat digests are independent of per-query repetition counts, so the
     # confirmation runs use fewer repetitions to stay fast.
-    r2 = run_benchmark(desk_config(), tmp_path / "d2", repetitions=2)
+    r2 = run_benchmark(BenchConfig(), tmp_path / "d2", repetitions=2)
     for name in digest_stages:
         assert r2.stage(name).digest == r1.stage(name).digest
-    r3 = run_benchmark(desk_config(n_workers=2), tmp_path / "d3",
+    r3 = run_benchmark(BenchConfig(n_workers=2), tmp_path / "d3",
                        repetitions=2)
     for name in digest_stages:
         assert r3.stage(name).digest == r1.stage(name).digest

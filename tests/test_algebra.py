@@ -27,7 +27,6 @@ from arraybench import (
     rebox_stored,
     reduce,
     shift,
-    sparse_array,
     SumGLA,
 )
 from arraybench import filter as filter_op
@@ -374,6 +373,16 @@ class TestReduce:
             assert_aggregate_equal(
                 kind, got, numpy_aggregate(kind, grids[attr][x][valid[x]]))
 
+    @pytest.mark.parametrize("kind, attr", EXTREME_CASES)
+    def test_scalar_value_typed_like_grouped_column(self, rng, kind, attr):
+        """A scalar result has the type of the grouped column's values:
+        an int64 sum is an int, not the float64 accumulator."""
+        arr, _, _ = make_extreme_2d(rng)
+        agg = AggregateFn(kind, None if kind == "count" else attr, "r")
+        scalar = reduce(arr, [], agg)["r"]
+        grouped = reduce(arr, ["x"], agg).cells().columns["r"].tolist()
+        assert type(scalar) is type(grouped[0])
+
     @pytest.mark.parametrize("keep", [[], ["x"]])
     def test_user_aggregates_run_once_per_group(self, rng, keep):
         arr, grids, valid = make_dense_2d(rng, 8, 6, chunk_shape=(3, 3))
@@ -446,7 +455,6 @@ class TestParamTypes:
         p = BitPattern("1001001000")
         assert p.selected(0, 9).tolist() == [0, 3, 6]
         assert p.selected(0, 19).tolist() == [0, 3, 6, 10, 13, 16]
-        assert p.ones_per_period() == 3
         # Phase anchors at the dimension lower bound.
         assert BitPattern("10").selected(5, 10).tolist() == [5, 7, 9]
         with pytest.raises(ConfigError):

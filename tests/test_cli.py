@@ -179,6 +179,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "plan" in out
 
+    def test_q9_after_grouping_in_another_run(self, tmp_path, capsys):
+        """q9 runs on a grouped data dir without grouping again."""
+        cfg_path = tmp_path / "bench.cfg"
+        write_small_config(cfg_path)
+        common = ["--config", str(cfg_path), "--data-dir", str(tmp_path / "d")]
+        assert main(common + ["--phases", "load,cook,group"]) == 0
+        assert main(common + ["--phases", "q9", "--repetitions", "1",
+                              "--param-configs", "1"]) == 0
+        assert "q9" in capsys.readouterr().out
+
     def test_query_slab_in_config_file_rejected(self, tmp_path, capsys):
         """A slab is a query argument: a config file that sets one fails
         instead of running with the slab ignored."""
@@ -208,6 +218,10 @@ class TestMain:
         assert main(["--config", str(bad_cfg),
                      "--data-dir", str(tmp_path / "d3")]) == 1
         assert "expected key = value" in capsys.readouterr().err
+        # Missing config file.
+        assert main(["--config", str(tmp_path / "missing.cfg"),
+                     "--data-dir", str(tmp_path / "d4")]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
         # Broken plan script.
         plan_path = tmp_path / "bad.plan"
         plan_path.write_text("a = NOPE(x=1)\n")

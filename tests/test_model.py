@@ -10,12 +10,10 @@ from arraybench import (
     Box,
     DimensionSpec,
     box_intersect,
-    cell_coords,
-    cell_offset,
     make_dense_chunk,
     make_sparse_chunk,
 )
-from arraybench.errors import DomainError, LayoutError, SchemaError
+from arraybench.errors import DomainError, SchemaError
 from arraybench.model import EMPTY_ZONE_FLOAT, EMPTY_ZONE_INT
 
 
@@ -49,8 +47,6 @@ class TestBox:
         outer = Box((0, 0), (9, 9))
         assert outer.contains_box(Box((2, 3), (4, 5)))
         assert not outer.contains_box(Box((2, 3), (4, 10)))
-        assert outer.contains_point((0, 9))
-        assert not outer.contains_point((10, 0))
 
     def test_translate(self):
         b = Box((0, 0), (2, 2)).translate((5, -1))
@@ -70,7 +66,8 @@ class TestBox:
             (x, y)
             for x in range(min(a.lo[0], b.lo[0]), max(a.hi[0], b.hi[0]) + 1)
             for y in range(min(a.lo[1], b.lo[1]), max(a.hi[1], b.hi[1]) + 1)
-            if a.contains_point((x, y)) and b.contains_point((x, y))}
+            if all(box.lo[0] <= x <= box.hi[0] and box.lo[1] <= y <= box.hi[1]
+                   for box in (a, b))}
         if inter is None:
             assert not expected
         else:
@@ -119,18 +116,6 @@ def _schema_2d():
 
 
 class TestDenseChunk:
-    def test_round_trip_coords(self):
-        schema = _schema_2d()
-        box = Box((1, 0), (3, 2))
-        n = box.volume
-        chunk = make_dense_chunk(schema, box,
-                                 {"v": np.arange(n), "f": np.zeros(n)},
-                                 np.ones(n, bool))
-        for off in range(n):
-            coords = cell_coords(chunk, off)
-            assert box.contains_point(coords)
-            assert cell_offset(chunk, coords) == off
-
     def test_coord_column_matches_cell_coords(self):
         schema = _schema_2d()
         box = Box((1, 0), (3, 2))
@@ -138,10 +123,11 @@ class TestDenseChunk:
         chunk = make_dense_chunk(schema, box,
                                  {"v": np.zeros(n), "f": np.zeros(n)},
                                  np.ones(n, bool))
+        # Row-major: the last dimension varies fastest.
+        rows = [(x, y) for x in range(1, 4) for y in range(0, 3)]
         for i, d in enumerate(schema.dims):
             col = chunk.coord_column(i, d.name)
-            expected = [cell_coords(chunk, off)[i] for off in range(n)]
-            assert col.tolist() == expected
+            assert col.tolist() == [row[i] for row in rows]
 
     def test_zone_meta_over_valid_cells_only(self):
         schema = _schema_2d()
@@ -210,13 +196,3 @@ class TestSparseChunk:
             make_sparse_chunk(schema, Box((0, 0), (1, 1)),
                               {"x": [0, 3], "y": [0, 0]},
                               {"v": [1, 2], "f": [0.0, 0.0]})
-
-    def test_cell_coords_requires_dense(self):
-        schema = _schema_2d()
-        chunk = make_sparse_chunk(schema, Box((0, 0), (1, 1)),
-                                  {"x": [0], "y": [0]},
-                                  {"v": [1], "f": [0.0]})
-        with pytest.raises(LayoutError):
-            cell_coords(chunk, 0)
-        with pytest.raises(LayoutError):
-            cell_offset(chunk, (0, 0))

@@ -555,6 +555,11 @@ class TestCatalog:
         with pytest.raises(FormatError, match="no array line"):
             Catalog(tmp_path).load()
 
+    def test_unreadable_manifest_rejected(self, tmp_path):
+        (tmp_path / "s" / "manifest.txt").mkdir(parents=True)
+        with pytest.raises(FormatError, match="cannot read manifest"):
+            Catalog(tmp_path).load()
+
     def test_duplicate_create_rejected(self, rng, tmp_path):
         cat = Catalog(tmp_path)
         self._populate(cat, rng)

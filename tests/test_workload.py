@@ -1,5 +1,6 @@
 """The image benchmark workload: generation, cooking, grouping, queries."""
 
+import shutil
 import sys
 import threading
 import time
@@ -13,13 +14,13 @@ from arraybench import (
     Box,
     Workload,
     boundary_polygon,
-    desk_config,
     group_cycle,
     make_dense_chunk,
     storage,
 )
 from arraybench.errors import ConfigError, DependencyError
 from arraybench.gla import run_gla_chunks
+from arraybench.plans import result_digest
 from arraybench.workload import N_VALUES, CookGLA
 
 SMALL = dict(n_images=4, cycle_size=2, grid_extent=120, domain_extent=2000,
@@ -226,7 +227,7 @@ def isolated(g):
 
 class TestConfig:
     def test_desk_defaults(self):
-        c = desk_config()
+        c = BenchConfig()
         assert c.n_images == 8
         assert c.n_cycles == 2
         assert c.tiles_per_image == 16
@@ -238,8 +239,6 @@ class TestConfig:
             BenchConfig(grid_extent=100, chunk_side=33)
         with pytest.raises(ConfigError):
             BenchConfig(grid_extent=10**6)
-        with pytest.raises(ConfigError):
-            BenchConfig(vi_index=0)
 
     def test_from_mapping_types_and_unknown_keys(self):
         c = BenchConfig.from_mapping({"n_images": "4", "cycle_size": "2",
@@ -251,10 +250,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["x1", "y1", "t1", "u1", "x2", "y2",
                                      "t2", "u2", "t3", "u3", "d4", "d5",
-                                     "d6"])
+                                     "d6", "vi_index", "oi_index"])
     def test_query_slabs_and_tiles_are_not_config_keys(self, key):
-        """Slabs and tiles are each query call's arguments: a config that
-        sets one is rejected, not accepted and ignored."""
+        """Slabs, tiles and attributes are each query call's arguments: a
+        config that sets one is rejected, not accepted and ignored."""
         with pytest.raises(ConfigError, match="unknown config key"):
             BenchConfig.from_mapping({key: "5"})
 
@@ -521,7 +520,8 @@ class TestWorkloadEndToEnd:
             for cid in range(img * c.tiles_per_image,
                              (img + 1) * c.tiles_per_image):
                 assert entry.ref(cid).box.lo[0] == img
-        # Derived arrays: one chunk per image / cycle.
+        # Derived arrays: one chunk per image / cycle (every image of this
+        # catalog has observations).
         assert len(cooked.catalog.entry("obs").chunk_index) == c.n_images
         assert len(cooked.catalog.entry("obs_center").chunk_index) == \
             c.n_images
@@ -529,6 +529,9 @@ class TestWorkloadEndToEnd:
             c.n_cycles
         assert len(cooked.catalog.entry("group_center_img").chunk_index) == \
             c.n_images
+        obs_group = cooked.catalog.entry("obs_group")
+        assert [ref.box.lo[0] for ref in obs_group.chunk_index] == \
+            list(range(c.n_cycles))
 
     def test_cooked_observations_persisted(self, cooked):
         c = cooked.config
@@ -576,6 +579,32 @@ class TestWorkloadEndToEnd:
         with pytest.raises(DependencyError):
             wl.group()
 
+    def test_catalog_grouped_without_obs_group(self, tmp_path, cooked):
+        """A catalog grouped before ``obs_group`` existed sends q9 back
+        to the group phase."""
+        shutil.copytree(cooked.catalog.data_dir, tmp_path / "old")
+        shutil.rmtree(tmp_path / "old" / "obs_group")
+        wl = Workload(cooked.config, tmp_path / "old")
+        with pytest.raises(DependencyError, match="'group' phase"):
+            wl.q9(0, gx=0, gy=0, w=1999, h=1999, d6=5)
+
+    def test_no_observations(self, tmp_path):
+        """A catalog cooked at a threshold no cell reaches groups and
+        answers q4-q9 with empty results."""
+        Workload(small_config(), tmp_path).generate()
+        wl = Workload(small_config(cook_threshold=10**9), tmp_path)
+        wl.cook()
+        wl.group()
+        assert wl.observations == {img: [] for img in range(4)}
+        assert wl.groups == {0: [], 1: []}
+        slab = dict(gx=0, gy=0, w=1999, h=1999)
+        assert wl.q4(0, gx=0, gy=0, t2=1999, u2=1999)[0] == {}
+        assert wl.q5(0, **slab)[0] == {"count": 0, "obs_ids": []}
+        assert wl.q6(0, **slab, d4=20, d5=1)[0] == {0: [], 1: []}
+        assert wl.q7(0, **slab)[0] == []
+        assert wl.q8(0, **slab, d6=5)[0] == []
+        assert wl.q9(0, **slab, d6=5)[0] == []
+
 
 class TestQueries:
     def test_q1_matches_direct_average(self, cooked):
@@ -609,6 +638,20 @@ class TestQueries:
         _value, stats = cooked.q9(0, gx=750, gy=750, w=500, h=500, d6=10)
         assert stats.chunks_read == len(calls) > 0
         assert stats.bytes_read == sum(calls)
+
+    def test_q9_in_a_fresh_workload(self, cooked):
+        """q9 reads the observation groups from the catalog, so a
+        workload that did not group answers it as the grouping one does."""
+        fresh = Workload(cooked.config, cooked.catalog.data_dir)
+        n = 0
+        for cycle in (0, 1):
+            for gx, gy, w in ((0, 0, 1999), (900, 900, 300), (750, 750, 500)):
+                kw = dict(gx=gx, gy=gy, w=w, h=w, d6=5)
+                got, _ = fresh.q9(cycle, **kw)
+                want, _ = cooked.q9(cycle, **kw)
+                assert result_digest(got) == result_digest(want)
+                n += len(got)
+        assert n > 0
 
     def test_q5_stats_count_every_read(self, cooked, monkeypatch):
         """q5's stats count every chunk it reads, the image origins
