@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, PlanError
 from .meter import metered
 from .plans import RunReport, StageMetrics, execute_plan, parse_plan, \
     result_digest
@@ -129,6 +129,32 @@ def _run_query_phase(workload: Workload, query: str,
                                "repetitions": repetitions})
 
 
+def _run_build_phase(workload: Workload, phase: str) -> StageMetrics:
+    """Run load, cook or group once, counting its reads and merges."""
+    start = time.perf_counter()
+    with metered() as meter:
+        getattr(workload, "generate" if phase == "load" else phase)()
+    digest = ""
+    if phase == "load":
+        extra = {"image_chunks":
+                 len(workload.catalog.entry("images").chunk_index)}
+    elif phase == "cook":
+        obs = workload.observations
+        extra = {"observations": sum(len(v) for v in obs.values())}
+        digest = result_digest([obs[i] for i in sorted(obs)])
+    else:
+        groups = workload.groups
+        extra = {"groups": sum(len(v) for v in groups.values())}
+        digest = result_digest(sorted(
+            (cyc, g.group_id, tuple(sorted(g.members)))
+            for cyc, gs in groups.items() for g in gs))
+    return StageMetrics(name=phase, seconds=time.perf_counter() - start,
+                        chunks_read=meter.chunks_read,
+                        bytes_read=meter.bytes_read,
+                        merge_bytes=meter.merge_bytes,
+                        digest=digest, extra=extra)
+
+
 def run_benchmark(config: BenchConfig, data_dir, phases=None,
                   param_configs: int = PARAM_CONFIGS,
                   repetitions: int = REPETITIONS) -> RunReport:
@@ -141,35 +167,8 @@ def run_benchmark(config: BenchConfig, data_dir, phases=None,
     workload = Workload(config, data_dir)
     report = RunReport()
     for phase in phases:
-        if phase == "load":
-            start = time.perf_counter()
-            workload.generate()
-            n_chunks = len(workload.catalog.entry("images").chunk_index)
-            report.stages.append(StageMetrics(
-                name="load", seconds=time.perf_counter() - start,
-                extra={"image_chunks": n_chunks}))
-        elif phase == "cook":
-            start = time.perf_counter()
-            with metered() as meter:
-                workload.cook()
-            n_obs = sum(len(v) for v in workload.observations.values())
-            report.stages.append(StageMetrics(
-                name="cook", seconds=time.perf_counter() - start,
-                merge_bytes=meter.merge_bytes,
-                digest=result_digest(
-                    [workload.observations[i]
-                     for i in sorted(workload.observations)]),
-                extra={"observations": n_obs}))
-        elif phase == "group":
-            start = time.perf_counter()
-            workload.group()
-            n_groups = sum(len(v) for v in workload.groups.values())
-            rows = sorted((cyc, g.group_id, tuple(sorted(g.members)))
-                          for cyc, gs in workload.groups.items() for g in gs)
-            report.stages.append(StageMetrics(
-                name="group", seconds=time.perf_counter() - start,
-                digest=result_digest(rows),
-                extra={"groups": n_groups}))
+        if phase in ("load", "cook", "group"):
+            report.stages.append(_run_build_phase(workload, phase))
         else:
             report.stages.append(_run_query_phase(
                 workload, phase, param_configs, repetitions))
@@ -212,8 +211,12 @@ def main(argv=None) -> int:
         if args.plan:
             catalog = Catalog(args.data_dir)
             catalog.load()
-            with open(args.plan, encoding="utf-8") as f:
-                plan = parse_plan(f.read())
+            try:
+                with open(args.plan, encoding="utf-8") as f:
+                    text = f.read()
+            except OSError as exc:
+                raise PlanError(f"cannot read plan file: {exc}") from exc
+            plan = parse_plan(text)
             result, report = execute_plan(plan, catalog,
                                           n_workers=config.n_workers)
         else:

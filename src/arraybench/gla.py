@@ -138,7 +138,9 @@ class _Entry:
     Numeric rule: count and count_distinct are exact. min and max stay in
     the input dtype and start from that dtype's identity (its integer
     limits, or -inf/+inf), so int64 never passes through float64. sum and
-    avg accumulate in float64. Emptiness is decided by the count, never by
+    avg accumulate in float64, in an order set by the chunking and, for
+    APPLY_PLUS, the boundary, so float sums may associate differently
+    between the two boundaries. Emptiness is decided by the count, never by
     the value: -inf and +inf are ordinary values, and a NaN makes its
     group's sum, avg, min and max NaN. A range predicate (``filter``,
     pruning) never matches NaN, so zone maps ignore NaN: a chunk's zone is

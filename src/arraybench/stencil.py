@@ -19,11 +19,13 @@ Two boundary strategies are implemented and must agree:
 
 Stencil cells falling outside the array box are skipped, not errors. An
 origin whose clipped window is empty yields an invalid output cell.
+
+Dense windows of ufunc aggregates fold one dimension at a time, a box
+window being separable, in O(cells x the sum of the shape's extents); the
+others fold per origin.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -160,34 +162,46 @@ def _window_grid(spec: _StencilSpec, box: Box, valid, grids, sel):
     aggregate over the origin grid ``sel`` (one sorted coordinate vector per
     dimension), from the cells of ``box`` whose validity and value grids
     are ``valid`` and ``grids``. Origins whose window leaves the box get
-    only the cells inside it."""
-    extents = tuple(len(s) for s in sel)
-    counts = np.zeros(extents, dtype=np.int64)
-    states = [e.init(counts.size) for e in spec.entries]
-    states = [s if s is None else s.reshape(extents) for s in states]
-    folds = [(e.ufunc, s, grids[e.attr], e.identity(s.dtype))
-             for e, s in zip(spec.entries, states) if e.ufunc]
-    offsets = itertools.product(*[range(l, h + 1)
-                                  for l, h in spec.shape.ranges])
+    only the cells inside it.
+
+    A box window is separable (van Herk 1992; Gil & Werman 1993): the pass
+    along dimension d folds each of the shape's offsets in d into the
+    origins it reaches and shrinks that axis to them. Grids sharing a ufunc
+    and a state dtype, the count (int64 add over validity) among them, are
+    masked once and fold as one stack, in O(cells x the sum of the shape's
+    extents), not their product. Prefix sums, O(cells) for any radius, need
+    exact sums to subtract (ROADMAP items 11 and 15)."""
+    stacks = {(np.add, np.dtype(np.int64)): (0, [valid], [-1])}  # -1: count
+    for i, e in enumerate(spec.entries):
+        if e.ufunc:
+            dtype = np.dtype(e.dtype if e.exact else np.float64)
+            identity, members, slots = stacks.setdefault(
+                (e.ufunc, dtype), (e.identity(dtype), [], []))
+            members.append(np.where(valid, grids[e.attr], identity))
+            slots.append(i)
+    steps = []  # per dimension: (slice of sel[d], index into the box)
+    for s, lo, hi, (l, h) in zip(sel, box.lo, box.hi, spec.shape.ranges):
+        run = s[-1] - s[0] == len(s) - 1  # consecutive: index by a view
+        q = [(int(np.searchsorted(s, lo - o, "left")),
+              int(np.searchsorted(s, hi - o, "right")), o - lo)
+             for o in range(l, h + 1)]
+        steps.append([(slice(q0, q1), slice(s[q0] + d, s[q1 - 1] + d + 1)
+                       if run else s[q0:q1] + d)
+                      for q0, q1, d in q if q1 > q0])
+    out = {}  # slot -> folded grid
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, by the rule
-        for off in offsets:
-            src, dst = [], []
-            for s, o, lo, hi in zip(sel, off, box.lo, box.hi):
-                q0 = int(np.searchsorted(s, lo - o, "left"))
-                q1 = int(np.searchsorted(s, hi - o, "right"))
-                if q1 <= q0:
-                    break
-                src.append(s[q0:q1] + (o - lo))
-                dst.append(slice(q0, q1))
-            else:
-                ix = np.ix_(*src)
-                dst = tuple(dst)
-                vm = valid[ix]
-                counts[dst] += vm
-                for ufunc, acc, grid, identity in folds:
-                    view = acc[dst]
-                    ufunc(view, np.where(vm, grid[ix], identity), out=view)
-    return counts, states
+        for (ufunc, dtype), (identity, members, slots) in stacks.items():
+            acc = np.stack(members, dtype=dtype)
+            for axis, (s, dim_steps) in enumerate(zip(sel, steps), start=1):
+                folded = np.full(acc.shape[:axis] + (len(s),)
+                                 + acc.shape[axis + 1:], identity, dtype)
+                lead = (slice(None),) * axis
+                for dst, src in dim_steps:
+                    view = folded[lead + (dst,)]
+                    ufunc(view, acc[lead + (src,)], out=view)
+                acc = folded
+            out.update(zip(slots, acc))
+    return out.pop(-1), [out.get(i) for i in range(len(spec.entries))]
 
 
 def _window_cells(spec: _StencilSpec, cells: CellBatch, origins):

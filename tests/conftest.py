@@ -50,15 +50,17 @@ def make_sparse_2d(rng, nx, ny, n_cells, n_attrs=2, chunk_shape=None,
 INT64_EXTREME = 2**53 + 1  # the smallest positive int64 float64 cannot hold
 
 
-def make_extreme_2d(rng, nx=9, ny=7, chunk_shape=(4, 3)):
-    """Random 2-D dense array whose int64 attribute a0 holds 2**53 + 1 and
-    whose float64 attribute a1 holds -inf and +inf, plus (grids, valid)."""
-    dims = (DimensionSpec("x", 0, nx - 1), DimensionSpec("y", 0, ny - 1))
+def make_extreme(rng, extents=(9, 7), chunk_shape=(4, 3)):
+    """Random dense array (dimensions x, y, z, ... over ``extents``) whose
+    int64 attribute a0 holds 2**53 + 1 and whose float64 attribute a1
+    holds -inf and +inf, plus (grids, valid)."""
+    dims = tuple(DimensionSpec(name, 0, n - 1)
+                 for name, n in zip("xyzw", extents))
     attrs = (AttributeSpec("a0", "int64"), AttributeSpec("a1", "float64"))
     schema = ArraySchema("e", dims, attrs, "dense")
-    grids = {"a0": rng.integers(-50, 51, (nx, ny)).astype(np.int64),
-             "a1": rng.normal(size=(nx, ny))}
-    valid = rng.random((nx, ny)) < 0.85
+    grids = {"a0": rng.integers(-50, 51, extents).astype(np.int64),
+             "a1": rng.normal(size=extents)}
+    valid = rng.random(extents) < 0.85
     cells = [tuple(c) for c in np.argwhere(valid)]
     grids["a0"][cells[0]] = INT64_EXTREME
     grids["a1"][cells[1]] = -np.inf
@@ -70,7 +72,7 @@ def make_extreme_2d(rng, nx=9, ny=7, chunk_shape=(4, 3)):
 
 KINDS = ["sum", "count", "avg", "min", "max", "count_distinct"]
 
-# (kind, attribute of make_extreme_2d); count_distinct rejects floats.
+# (kind, attribute of make_extreme); count_distinct rejects floats.
 EXTREME_CASES = [(kind, attr) for attr in ("a0", "a1") for kind in KINDS
                  if (kind, attr) != ("count_distinct", "a1")]
 

@@ -41,7 +41,7 @@ from tests.conftest import (
     array_cells_sorted,
     assert_aggregate_equal,
     make_dense_2d,
-    make_extreme_2d,
+    make_extreme,
     make_sparse_2d,
     numpy_aggregate,
 )
@@ -361,7 +361,7 @@ class TestReduce:
     @pytest.mark.parametrize("kind, attr", EXTREME_CASES)
     def test_extremes_match_numpy(self, rng, kind, attr):
         """Exact min/max of 2**53 + 1 and of -inf/+inf, scalar and grouped."""
-        arr, grids, valid = make_extreme_2d(rng)
+        arr, grids, valid = make_extreme(rng)
         agg = AggregateFn(kind, None if kind == "count" else attr, "r")
         scalar = reduce(arr, [], agg, n_workers=3)
         assert_aggregate_equal(kind, scalar["r"],
@@ -377,7 +377,7 @@ class TestReduce:
     def test_scalar_value_typed_like_grouped_column(self, rng, kind, attr):
         """A scalar result has the type of the grouped column's values:
         an int64 sum is an int, not the float64 accumulator."""
-        arr, _, _ = make_extreme_2d(rng)
+        arr, _, _ = make_extreme(rng)
         agg = AggregateFn(kind, None if kind == "count" else attr, "r")
         scalar = reduce(arr, [], agg)["r"]
         grouped = reduce(arr, ["x"], agg).cells().columns["r"].tolist()

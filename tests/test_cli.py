@@ -132,6 +132,26 @@ class TestRunBenchmark:
         assert (twice.chunks_read, twice.bytes_read, twice.merge_bytes) == \
             (once.chunks_read, once.bytes_read, once.merge_bytes)
 
+    def test_build_phases_count_their_reads(self, tmp_path, monkeypatch):
+        """load, cook and group report every chunk read and byte that
+        storage.read_chunk returns during the phase."""
+        from arraybench import storage
+        read_chunk, reads = storage.read_chunk, []
+
+        def counting(*args, **kwargs):
+            chunk = read_chunk(*args, **kwargs)
+            reads.append(chunk.bytes_read)
+            return chunk
+        monkeypatch.setattr(storage, "read_chunk", counting)
+        for phase in ("load", "cook", "group"):
+            reads.clear()
+            stage = run_benchmark(small_config(), tmp_path, phases=[phase],
+                                  param_configs=1, repetitions=1).stage(phase)
+            assert (stage.chunks_read, stage.bytes_read) == \
+                (len(reads), sum(reads))
+            if phase != "load":
+                assert stage.chunks_read > 0
+
     def test_defaults_match_flags(self):
         assert PARAM_CONFIGS == 5 and REPETITIONS == 10
 
@@ -229,3 +249,7 @@ class TestMain:
                      "--plan", str(plan_path)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err and "line 1" in err
+        # Missing plan file.
+        assert main(["--data-dir", str(tmp_path / "d2"),
+                     "--plan", str(tmp_path / "missing.plan")]) == 1
+        assert "cannot read plan file" in capsys.readouterr().err

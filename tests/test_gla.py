@@ -23,7 +23,7 @@ from arraybench import (
     run_gla_chunks,
 )
 from arraybench.errors import ConfigError
-from tests.conftest import KINDS, make_extreme_2d
+from tests.conftest import KINDS, make_extreme
 from tests.test_storage import dense_schema, random_dense_chunk
 
 ALL_AGGS = [lambda: SumGLA("v"), lambda: CountGLA(), lambda: AvgGLA("v"),
@@ -51,7 +51,7 @@ def oracle_values(schema, chunks, attr="v"):
         }
 
 
-# The random "v" cases, then the extremes of make_extreme_2d: 2**53 + 1 in
+# The random "v" cases, then the extremes of make_extreme: 2**53 + 1 in
 # the int64 a0, -inf and +inf in the float64 a1.
 ORACLE_CASES = [pytest.param(kind, "v", id=kind) for kind in KINDS] + \
     [pytest.param(kind, attr, id=f"{attr}-{kind}")
@@ -85,7 +85,7 @@ class TestBuiltinsMatchOracle:
         if attr == "v":
             schema, chunks = make_chunks(rng)
         else:
-            arr, _, _ = make_extreme_2d(rng)
+            arr, _, _ = make_extreme(rng)
             schema, chunks = arr.schema, arr.chunks
         gla = {"sum": SumGLA, "avg": AvgGLA, "min": MinGLA, "max": MaxGLA,
                "count_distinct": CountDistinctGLA}.get(kind, CountGLA)(attr) \

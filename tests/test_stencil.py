@@ -1,6 +1,8 @@
 """Neighborhood aggregation: both boundary strategies against a
 whole-array oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from tests.conftest import (
     array_cells_sorted,
     assert_aggregate_equal,
     make_dense_2d,
-    make_extreme_2d,
+    make_extreme,
     make_sparse_2d,
     numpy_aggregate,
 )
@@ -192,7 +194,7 @@ class TestWholeArrayWindow:
     def test_matches_numpy(self, rng, kind, attr, boundary):
         """One window covering the array: exact min/max of 2**53 + 1 and of
         -inf/+inf, with either boundary strategy."""
-        arr, grids, valid = make_extreme_2d(rng)
+        arr, grids, valid = make_extreme(rng)
         nx, ny = valid.shape
         out = apply_plus(arr, NeighborhoodShape.of((0, nx - 1), (0, ny - 1)),
                          {"x": BitPattern("1" + "0" * (nx - 1)),
@@ -204,6 +206,62 @@ class TestWholeArrayWindow:
         assert gvalid.shape == (1, 1) and gvalid.all()
         assert_aggregate_equal(kind, got[0, 0].item(),
                                numpy_aggregate(kind, grids[attr][valid]))
+
+
+class TestSeparableWindows:
+    """Wide and 3-D windows over cells that straddle chunk edges, against a
+    direct per-window loop."""
+
+    GEOMETRIES = [
+        (NeighborhoodShape.square(2, 5), (23, 19), (7, 6)),
+        (NeighborhoodShape.square(2, 10), (30, 24), (9, 7)),
+        (NeighborhoodShape.of((-1, 1), (-2, 1), (1, 2)), (7, 9, 8),
+         (3, 4, 5)),
+    ]
+    CASES = [("count", None)] + [(kind, attr) for attr in ("a0", "a1")
+                                 for kind in ("sum", "avg", "min", "max")]
+
+    @pytest.mark.parametrize("n_workers", [1, 3])
+    @pytest.mark.parametrize("boundary", ["merge", "overlap"])
+    @pytest.mark.parametrize("pattern", [None, ("110", "10", "1001")])
+    @pytest.mark.parametrize("shape, extents, chunk_shape", GEOMETRIES)
+    def test_matches_per_window_loop(self, rng, shape, extents, chunk_shape,
+                                     pattern, boundary, n_workers):
+        """count, min and max are exact, 2**53 + 1 included; so are int64
+        sums and averages whose every partial sum stays below 2**53. Float
+        sums and averages follow the rule for +-inf and NaN."""
+        arr, grids, valid = make_extreme(rng, extents, chunk_shape)
+        if pattern is None:
+            origins, sel = "valid", [np.arange(n) for n in extents]
+        else:
+            origins = dict(zip(arr.schema.dim_names, pattern))
+            sel = [BitPattern(p).selected(0, n - 1)
+                   for p, n in zip(pattern, extents)]
+        out = apply_plus(arr, shape, origins,
+                         [AggregateFn(kind, attr, f"{kind}_{attr}")
+                          for kind, attr in self.CASES],
+                         boundary=boundary, n_workers=n_workers)
+        windows = {}
+        for index in itertools.product(*map(range, map(len, sel))):
+            origin = [s[i] for s, i in zip(sel, index)]
+            if pattern is None and not valid[tuple(origin)]:
+                continue
+            box = tuple(slice(max(o + lo, 0), min(o + hi, n - 1) + 1)
+                        for o, (lo, hi), n in zip(origin, shape.ranges,
+                                                   extents))
+            if valid[box].any():
+                windows[index] = box
+        for kind, attr in self.CASES:
+            got, gvalid = materialize(out, f"{kind}_{attr}")
+            assert set(zip(*np.nonzero(gvalid))) == set(windows)
+            for index, box in windows.items():
+                values = grids[attr or "a0"][box][valid[box]]
+                expected = numpy_aggregate(kind, values)
+                if kind in ("count", "min", "max") or (
+                        attr == "a0" and np.abs(values).sum() < 2**53):
+                    assert got[index].item() == expected
+                else:
+                    assert_aggregate_equal(kind, got[index].item(), expected)
 
 
 class TestStrategyAgreement:
@@ -245,7 +303,7 @@ class TestOutputKind:
     def test_reduce_and_apply_plus_agree(self, rng, kind, attr, boundary):
         """count and count_distinct give int64, avg and user float64, and
         sum, min and max keep the attribute's kind."""
-        arr, _, _ = make_extreme_2d(rng)
+        arr, _, _ = make_extreme(rng)
         agg = AggregateFn(kind, attr, "r",
                           gla=CountGLA() if kind == "user" else None)
         expected = {"count": "int64", "count_distinct": "int64",
