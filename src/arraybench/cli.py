@@ -130,7 +130,8 @@ def _run_query_phase(workload: Workload, query: str,
 
 
 def _run_build_phase(workload: Workload, phase: str) -> StageMetrics:
-    """Run load, cook or group once, counting its reads and merges."""
+    """Run load, cook or group once, counting its reads, writes and
+    merges."""
     start = time.perf_counter()
     with metered() as meter:
         getattr(workload, "generate" if phase == "load" else phase)()
@@ -151,6 +152,7 @@ def _run_build_phase(workload: Workload, phase: str) -> StageMetrics:
     return StageMetrics(name=phase, seconds=time.perf_counter() - start,
                         chunks_read=meter.chunks_read,
                         bytes_read=meter.bytes_read,
+                        bytes_written=meter.bytes_written,
                         merge_bytes=meter.merge_bytes,
                         digest=digest, extra=extra)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .meter import record
-from .model import DENSE, Chunk
+from .model import DENSE, Chunk, frame_decode, frame_encode
 
 # ---------------------------------------------------------------------------
 # Cell batches
@@ -165,14 +165,25 @@ class _Entry:
 
 
 def _pack(a):
-    """An array (or None) as dtype, shape and raw bytes: a few bytes of
-    header where a pickled ndarray takes about 150."""
-    return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+    """An array (or None) as dtype, shape, raw bytes and frame: a few bytes
+    of header where a pickled ndarray takes about 150. An int64 array goes
+    through the frame codec (``model.frame_encode``), so its bytes are the
+    narrow deltas and its frame their ``lo``; any other array is raw, with
+    frame None."""
+    if a is None:
+        return None
+    if a.dtype == np.int64:
+        lo, deltas = frame_encode(a)
+        return deltas.dtype.str, a.shape, deltas.tobytes(), lo
+    return a.dtype.str, a.shape, a.tobytes(), None
 
 
 def _unpack(wire):
-    return None if wire is None else \
-        np.frombuffer(wire[2], wire[0]).reshape(wire[1]).copy()
+    if wire is None:
+        return None
+    dtype, shape, raw, lo = wire
+    a = np.frombuffer(raw, dtype).reshape(shape)
+    return a.copy() if lo is None else frame_decode(lo, a)
 
 
 class _Fold(_Entry):

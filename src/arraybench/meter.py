@@ -1,9 +1,10 @@
-"""Run-scoped counters: chunks and bytes read, and merge bytes shipped.
+"""Run-scoped counters: chunks and bytes read, bytes written, and merge
+bytes shipped.
 
-Chunk reads and aggregate runs add to the innermost ``metered()`` block
-open in the current context. A block adds its totals to the one enclosing
-it when it ends, so nested measurements compose and concurrent ones never
-see each other's counts.
+Chunk reads, chunk writes and aggregate runs add to the innermost
+``metered()`` block open in the current context. A block adds its totals
+to the one enclosing it when it ends, so nested measurements compose and
+concurrent ones never see each other's counts.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ class Meter:
 
     chunks_read: int = 0
     bytes_read: int = 0
+    bytes_written: int = 0
     merge_bytes: int = 0
 
 

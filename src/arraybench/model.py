@@ -4,7 +4,9 @@ An array is a (box, valid, content) triple realized as a set of chunks.
 Dense chunks store cells in row-major order over the dimensions in schema
 declaration order with the coordinate columns suppressed; sparse chunks
 store explicit coordinate columns. Every chunk carries (min, max) zone
-metadata per dimension and per attribute.
+metadata per dimension and per attribute. ``frame_encode`` and
+``frame_decode`` are the one exact integer codec that chunk files and
+aggregate wire states share.
 """
 
 from __future__ import annotations
@@ -27,6 +29,31 @@ KIND_INT64 = "int64"
 KIND_FLOAT64 = "float64"
 
 _KIND_DTYPES = {KIND_INT64: np.int64, KIND_FLOAT64: np.float64}
+
+
+# Frame-of-reference widths (Goldstein, Ramakrishnan & Shaft, ICDE 1998):
+# bytes per value -> the unsigned dtype of that width.
+FRAME_DTYPES = {w: np.dtype(f"<u{w}") for w in (1, 2, 4, 8)}
+
+
+def frame_encode(values: np.ndarray):
+    """``(lo, deltas)``: an int64 array as ``value - lo``, with ``lo`` its
+    minimum, in the narrowest unsigned dtype of ``FRAME_DTYPES`` that holds
+    ``max - min``. The subtraction wraps modulo 2^64 and keeps the low
+    bytes, which is exact because every delta fits the width; so a span
+    of -2^63..2^63-1 round-trips at width 8. An empty array has frame 0 at
+    width 1."""
+    if not values.size:
+        return 0, np.empty(values.shape, FRAME_DTYPES[1])
+    lo, hi = int(values.min()), int(values.max())
+    width = next(w for w in FRAME_DTYPES if hi - lo < 1 << 8 * w)
+    return lo, np.subtract(values, np.int64(lo), dtype=FRAME_DTYPES[width],
+                           casting="unsafe")
+
+
+def frame_decode(lo: int, deltas: np.ndarray) -> np.ndarray:
+    """The int64 array that ``frame_encode`` gave ``(lo, deltas)`` for."""
+    return np.add(deltas, np.int64(lo), dtype=np.int64, casting="unsafe")
 
 
 def dtype_for(kind: str) -> np.dtype:
@@ -252,11 +279,13 @@ def compute_zone_meta(schema: ArraySchema, box: Box, layout: str, columns: dict,
             meta[dim.name] = (box.lo[i], box.hi[i])
         else:
             meta[dim.name] = _zone_of(dim_columns[dim.name], KIND_INT64)
+    # A dense column with every cell valid needs no masked copy.
+    masked = layout == DENSE and not validity.all()
     for attr in schema.attrs:
         if attr.name not in columns:
             continue
         vals = columns[attr.name]
-        if layout == DENSE:
+        if masked:
             vals = vals[validity]
         meta[attr.name] = _zone_of(vals, attr.kind)
     return meta

@@ -363,6 +363,7 @@ class StageMetrics:
     seconds: float = 0.0
     chunks_read: int = 0
     bytes_read: int = 0
+    bytes_written: int = 0
     merge_bytes: int = 0
     digest: str = ""
     extra: dict = field(default_factory=dict)
@@ -379,12 +380,13 @@ class RunReport:
         raise KeyError(name)
 
     def table(self) -> str:
-        headers = ("stage", "seconds", "chunks", "bytes", "merge_bytes",
-                   "digest")
+        headers = ("stage", "seconds", "chunks", "bytes", "written",
+                   "merge_bytes", "digest")
         rows = [headers]
         for s in self.stages:
             rows.append((s.name, f"{s.seconds:.3f}", str(s.chunks_read),
-                         str(s.bytes_read), str(s.merge_bytes), s.digest))
+                         str(s.bytes_read), str(s.bytes_written),
+                         str(s.merge_bytes), s.digest))
         widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
         lines = []
         for i, row in enumerate(rows):
@@ -399,6 +401,7 @@ class RunReport:
             out.append(f"{s.name}.seconds\t{s.seconds:.6f}")
             out.append(f"{s.name}.chunks_read\t{s.chunks_read}")
             out.append(f"{s.name}.bytes_read\t{s.bytes_read}")
+            out.append(f"{s.name}.bytes_written\t{s.bytes_written}")
             out.append(f"{s.name}.merge_bytes\t{s.merge_bytes}")
             if s.digest:
                 out.append(f"{s.name}.digest\t{s.digest}")

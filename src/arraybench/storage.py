@@ -2,11 +2,21 @@
 catalog.
 
 One file per chunk under ``<data_dir>/<array>/<chunk_id>.chk``; each array
-also has a text manifest listing its schema and chunk index. Reads fetch
-only the requested column blocks, and for a dense chunk read with a query
-box only the band of rows that the box covers, plus the matching bytes of
-the validity bitmap. Every read counts its chunk and bytes into the
-enclosing ``metered()`` measurement, so I/O claims are testable.
+also has a text manifest listing its schema and chunk index. A chunk file
+(format version 2) holds a header (box, zones, validity bitmap of a dense
+chunk, cell count), then one block per stored column: a width byte, a
+frame ``lo`` and the payload's length, then the payload. An int64 column
+(a sparse chunk's coordinates included) is stored exactly as ``value -
+lo`` in 1, 2, 4 or 8 bytes per cell, the narrowest that holds the span of
+every stored cell (``model.frame_encode``); a float64 column is stored raw
+at width 8. Version-1 files, which stored every cell in 8 bytes, are
+rejected with ``FormatError``.
+
+Reads fetch only the requested column blocks, and for a dense chunk read
+with a query box only the band of rows that the box covers, plus the
+matching bytes of the validity bitmap. Every read counts its chunk and
+bytes into the enclosing ``metered()`` measurement, and every write its
+bytes, so I/O claims are testable.
 """
 
 from __future__ import annotations
@@ -34,15 +44,20 @@ from .model import (
     Box,
     Chunk,
     DimensionSpec,
+    FRAME_DTYPES,
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
+    frame_decode,
+    frame_encode,
     make_dense_chunk,
     make_sparse_chunk,
 )
 
 MAGIC = b"AQLC"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Per stored column: width in bytes per cell, frame lo, payload length.
+_COLUMN_HEAD = struct.Struct("<BqQ")
 
 _LAYOUT_CODES = {DENSE: 0, SPARSE: 1}
 _LAYOUT_NAMES = {v: k for k, v in _LAYOUT_CODES.items()}
@@ -146,7 +161,8 @@ def _unpack_zone(kind, buf, off):
 
 
 def write_chunk(chunk: Chunk, schema: ArraySchema, locator) -> int:
-    """Serialize one chunk to disk; returns bytes written."""
+    """Serialize one chunk to disk; returns the bytes written, which are
+    also added to the current meter."""
     parts = [MAGIC,
              struct.pack("<HBBH", FORMAT_VERSION, _LAYOUT_CODES[chunk.layout],
                          len(schema.dims), len(schema.attrs))]
@@ -163,19 +179,22 @@ def write_chunk(chunk: Chunk, schema: ArraySchema, locator) -> int:
     parts.append(struct.pack("<Q", chunk.cell_count))
     blocks = []
     if chunk.layout == SPARSE:
-        blocks.extend(chunk.dim_columns[d.name] for d in schema.dims)
-    blocks.extend(chunk.columns[a.name] for a in schema.attrs)
-    for col in blocks:
-        payload = np.ascontiguousarray(col).tobytes()
-        parts.append(struct.pack("<Q", len(payload)))
-        parts.append(payload)
-    data = b"".join(parts)
+        blocks.extend((chunk.dim_columns[d.name], KIND_INT64)
+                      for d in schema.dims)
+    blocks.extend((chunk.columns[a.name], a.kind) for a in schema.attrs)
     try:
         with open(locator, "wb") as f:
-            f.write(data)
+            nbytes = f.write(b"".join(parts))
+            for col, kind in blocks:
+                lo, payload = frame_encode(col) if kind == KIND_INT64 \
+                    else (0, np.ascontiguousarray(col))
+                nbytes += f.write(_COLUMN_HEAD.pack(
+                    payload.itemsize, lo, payload.nbytes))
+                nbytes += f.write(payload)
     except OSError as exc:
         raise FormatError(f"cannot write chunk file {locator}: {exc}") from exc
-    return len(data)
+    record(bytes_written=nbytes)
+    return nbytes
 
 
 class _CountingFile:
@@ -214,9 +233,15 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
     chunks ignore ``box``, because their cells need their coordinates.
     ``None`` reads the whole chunk.
 
+    Each column is stored with its width and frame ``lo`` (see the module
+    docstring); an int64 band is decoded exactly to int64, a float64 band
+    is returned as stored, and a band starts ``start * width`` bytes into
+    its column. A file of another format version raises ``FormatError``.
+
     ``bytes_read`` counts the bytes actually read: the header, the bitmap
-    slice, each column's length prefix, and each wanted column's band. The
-    read also adds one chunk and those bytes to the current meter.
+    slice, each column's head (width, frame and length), and each wanted
+    column's band. The read also adds one chunk and those bytes to the
+    current meter.
     """
     if columns is not None:
         known = set(schema.dim_names) | set(schema.attr_names)
@@ -266,7 +291,8 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
         raise FormatError(f"bad magic in chunk file {locator}")
     version, layout_code, n_dims, n_attrs = struct.unpack_from("<HBBH", head, 4)
     if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version} in {locator}")
+        raise FormatError(f"chunk file {locator} has format version "
+                          f"{version}; only version {FORMAT_VERSION} is read")
     if layout_code not in _LAYOUT_NAMES:
         raise FormatError(f"bad layout flag in {locator}")
     layout = _LAYOUT_NAMES[layout_code]
@@ -319,32 +345,36 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
 
     if layout == SPARSE:
         n = count
-        stored = [(d.name, np.int64) for d in schema.dims]
+        stored = [(d.name, KIND_INT64) for d in schema.dims]
     else:
         stored = []
-    stored += [(a.name, a.dtype) for a in schema.attrs]
+    stored += [(a.name, a.kind) for a in schema.attrs]
 
     wanted = None if columns is None else set(columns)
     if wanted is not None and layout == SPARSE:
         # Sparse cells are meaningless without their coordinates.
         wanted |= set(schema.dim_names)
     read_cols = {}
-    for name, dtype in stored:
-        (blen,) = struct.unpack(
-            "<Q", _read_exact(f, 8, f"length of column {name!r}", locator))
+    for name, kind in stored:
+        width, lo, blen = _COLUMN_HEAD.unpack(_read_exact(
+            f, _COLUMN_HEAD.size, f"head of column {name!r}", locator))
+        if width not in FRAME_DTYPES or blen != count * width or \
+                (kind == KIND_FLOAT64 and width != 8):
+            raise FormatError(
+                f"column {name!r} in {locator} has {blen} bytes at width "
+                f"{width}, expected {count} {kind} cells")
         if wanted is None or name in wanted:
-            size = np.dtype(dtype).itemsize
-            if blen != count * size:
-                raise FormatError(
-                    f"column {name!r} in {locator} has {blen} bytes, "
-                    f"expected {count} cells")
-            f.seek(start * size, os.SEEK_CUR)
-            payload = f.read(n * size)
-            if len(payload) != n * size:
+            f.seek(start * width, os.SEEK_CUR)
+            payload = f.read(n * width)
+            if len(payload) != n * width:
                 raise FormatError(
                     f"truncated column {name!r} in chunk file {locator}")
-            f.seek(blen - (start + n) * size, os.SEEK_CUR)
-            read_cols[name] = np.frombuffer(payload, dtype=dtype)
+            f.seek(blen - (start + n) * width, os.SEEK_CUR)
+            if kind == KIND_INT64:
+                read_cols[name] = frame_decode(
+                    lo, np.frombuffer(payload, FRAME_DTYPES[width]))
+            else:
+                read_cols[name] = np.frombuffer(payload, np.float64)
         else:
             f.seek(blen, os.SEEK_CUR)
 

@@ -465,6 +465,15 @@ _O_ATTRS = tuple(AttributeSpec(f"o{k}", KIND_FLOAT64)
                  for k in range(1, N_VALUES + 1))
 
 
+# The arrays each phase writes, in phase order. A phase reads the arrays of
+# the phases before it, so everything a phase writes is derived from them.
+PHASE_ARRAYS = {
+    "load": ("images", "image_origin"),
+    "cook": ("obs", "obs_center"),
+    "group": ("group_center", "group_center_img", "obs_group"),
+}
+
+
 def _int_columns(names, rows) -> dict:
     """Rows of integers as one int64 column per name."""
     cols = np.array(rows, dtype=np.int64).reshape(-1, len(names)).T
@@ -538,26 +547,40 @@ class Workload:
             DimensionSpec("obs_id", 0, c.n_images * c.grid_extent ** 2 - 1)),
             (AttributeSpec("group_id", KIND_INT64),), "sparse")
 
-    def _require(self, array: str, phase: str):
+    def _require(self, array: str):
+        """The catalog entry of ``array``. If it is missing,
+        ``DependencyError`` names the first phase whose arrays are not all
+        in the catalog."""
         try:
             return self.catalog.entry(array)
         except CatalogError:
+            phase = next(p for p, names in PHASE_ARRAYS.items()
+                         if not set(names) <= set(self.catalog.arrays))
             raise DependencyError(
                 f"array {array!r} missing; run the {phase!r} phase first") \
                 from None
 
+    def _reset(self, phase: str):
+        """Drop the arrays of ``phase`` and of every later phase, which
+        are derived from them, and create ``phase``'s arrays empty."""
+        order = list(PHASE_ARRAYS)
+        for later in order[order.index(phase):]:
+            for name in PHASE_ARRAYS[later]:
+                self.catalog.drop_array(name)
+        for name in PHASE_ARRAYS[phase]:
+            self.catalog.create_array(getattr(self, f"{name}_schema")())
+
     # -- generation -------------------------------------------------------
 
     def generate(self):
-        """Create the raw image and origin arrays, deterministically."""
+        """Create the raw image and origin arrays, deterministically, and
+        drop every array cooked or grouped from the old ones."""
         c = self.config
         g = c.grid_extent
         rng = np.random.default_rng(c.seed)
         self._origins = None
-        for name in ("images", "image_origin"):
-            self.catalog.drop_array(name)
-        images = self.catalog.create_array(self.images_schema())
-        self.catalog.create_array(self.image_origin_schema())
+        self.observations, self.groups = {}, {}
+        self._reset("load")
 
         # Image origins: truncated 2-D normal about the domain center.
         mean, sigma = c.domain_extent / 2, c.domain_extent / 8
@@ -619,13 +642,14 @@ class Workload:
             {"orig_x": [o[0] for o in origins],
              "orig_y": [o[1] for o in origins]}, (c.n_images,)))
         self.catalog.save()
-        assert len(images.chunk_index) == c.n_images * c.tiles_per_image
+        assert len(self.catalog.entry("images").chunk_index) == \
+            c.n_images * c.tiles_per_image
 
     def image_origins(self) -> list:
         """The global (x, y) origin of every image: read from the catalog
         on first use, and kept until the next ``generate``."""
         if self._origins is None:
-            box = self._require("image_origin", "load").schema.box
+            box = self._require("image_origin").schema.box
             cells = rebox_stored(self.catalog, "image_origin", box).cells()
             self._origins = tuple(zip(cells.columns["orig_x"].tolist(),
                                       cells.columns["orig_y"].tolist()))
@@ -636,14 +660,12 @@ class Workload:
     def cook(self):
         """Extract observations from every image; persist their cells in
         obs and their centers in obs_center (one chunk of each per image
-        with observations)."""
+        with observations), and drop the groups of the old ones."""
         c = self.config
-        self._require("images", "load")
+        self._require("images")
         origins = self.image_origins()
-        for name in ("obs", "obs_center"):
-            self.catalog.drop_array(name)
-        self.catalog.create_array(self.obs_schema())
-        self.catalog.create_array(self.obs_center_schema())
+        self.groups = {}
+        self._reset("cook")
         whole = Box((0, 0), (c.grid_extent - 1, c.grid_extent - 1))
         self.observations = {img: self.recook(img, whole, c.cook_threshold)
                              for img in range(c.n_images)}
@@ -732,13 +754,8 @@ class Workload:
         (one chunk per cycle), group_center_img (one chunk per image) and
         obs_group, every observation's group (one chunk per cycle)."""
         c = self.config
-        self._require("obs_center", "cook")
-        for name in ("group_center", "group_center_img", "obs_group"):
-            self.catalog.drop_array(name)
-        for schema in (self.group_center_schema(),
-                       self.group_center_img_schema(),
-                       self.obs_group_schema()):
-            self.catalog.create_array(schema)
+        self._require("obs_center")
+        self._reset("group")
 
         self.groups = {}
         for cycle in range(c.n_cycles):
@@ -808,7 +825,7 @@ class Workload:
         """Average of one raw attribute over a local-coordinate slab of the
         cycle's images."""
         c = self.config
-        self._require("images", "load")
+        self._require("images")
         imgs = c.cycle_images(cycle)
         slab = self._clip("images", Box(
             (imgs[0], x1, y1), (imgs[-1], x1 + t1, y1 + u1)))
@@ -835,7 +852,7 @@ class Workload:
         """Regrid a slab of the cycle's images 10:3 via pattern-selected
         window averaging of every raw attribute."""
         c = self.config
-        self._require("images", "load")
+        self._require("images")
         imgs = c.cycle_images(cycle)
         slab = self._clip("images", Box(
             (imgs[0], x1, y1), (imgs[-1], x1 + t3, y1 + u3)))
@@ -856,7 +873,7 @@ class Workload:
         """Average of one cooked attribute over a global-coordinate slab of
         the cycle's observation centers."""
         c = self.config
-        self._require("obs_center", "cook")
+        self._require("obs_center")
         imgs = c.cycle_images(cycle)
         slab = self._clip("obs_center", Box(
             (imgs[0], gx, gy), (imgs[-1], gx + t2, gy + u2)))
@@ -873,7 +890,7 @@ class Workload:
         """Distinct observations with any member cell inside a global slab,
         over the cycle's images: each image's ``obs`` cells are stored in
         local coordinates, so the slab is moved into the image's frame."""
-        self._require("obs", "cook")
+        self._require("obs")
 
         def run():
             origins = self.image_origins()
@@ -891,7 +908,7 @@ class Workload:
         contain at least D5 centers. The window spans one image, so one
         stencil over the cycle's slab serves every image."""
         c = self.config
-        self._require("obs_center", "cook")
+        self._require("obs_center")
         imgs = c.cycle_images(cycle)
         slab = self._clip("obs_center", Box((imgs[0], gx, gy),
                                             (imgs[-1], gx + w, gy + h)))
@@ -918,7 +935,7 @@ class Workload:
 
     def q7(self, cycle: int, *, gx, gy, w, h):
         """Group centers of one cycle inside a global slab."""
-        self._require("group_center", "group")
+        self._require("group_center")
         slab = self._clip("group_center",
                           Box((cycle, gx, gy), (cycle, gx + w, gy + h)))
         return self._measured(
@@ -963,7 +980,7 @@ class Workload:
         """Raw tiles around the trajectories of groups having any per-image
         center inside a global slab."""
         c = self.config
-        self._require("group_center_img", "group")
+        self._require("group_center_img")
 
         def run():
             slab = self._clip("group_center_img", Box(
@@ -977,8 +994,8 @@ class Workload:
         """Like Q8, but groups qualify when any member observation's cells
         intersect the slab: Q5 finds the observations, and ``obs_group``
         maps them to their groups."""
-        self._require("group_center_img", "group")
-        self._require("obs_group", "group")
+        self._require("group_center_img")
+        self._require("obs_group")
 
         def run():
             found = self.q5(cycle, gx=gx, gy=gy, w=w, h=h)[0]["obs_ids"]

@@ -222,11 +222,12 @@ def test_pruning_is_exact(tmp_path):
             assert sorted(cat.prune(name, box)) == expected
 
     # Reading one value column of an image chunk skips the payload of the
-    # other ten columns entirely.
+    # other ten columns entirely: v2..v11 hold 0..4T (T = 900), so each is
+    # stored in 2 bytes per cell.
     full = cat.read("images", 0)
     sel = cat.read("images", 0, columns=["v1"])
     n = full.box.volume
-    assert full.bytes_read - sel.bytes_read == 10 * 8 * n
+    assert full.bytes_read - sel.bytes_read == 10 * 2 * n
     # Same for a sparse array: unrequested attribute payloads stay on disk.
     full = cat.read("obs_center", 0)
     sel = cat.read("obs_center", 0, columns=["obs_id"])
@@ -308,7 +309,8 @@ def test_scale_arithmetic(tmp_path):
 
     # One materialized 750x750 chunk with 11 value columns: the implicit
     # (dense) layout stores 11 of the 13 columns, saving exactly the two
-    # coordinate payloads -- 2/13 of the column bytes, about 15%.
+    # coordinate payloads. Values in 0..99 take 1 byte per cell and
+    # coordinates in 0..749 take 2, so that is 4/15 of the column bytes.
     n = 750 * 750
     dims = (DimensionSpec("x", 0, 749), DimensionSpec("y", 0, 749))
     attrs = tuple(AttributeSpec(f"v{k}", "int64") for k in range(1, 12))
@@ -325,13 +327,18 @@ def test_scale_arithmetic(tmp_path):
                                values)
     size_dense = write_chunk(dense, dense_schema, tmp_path / "d.chunk")
     size_sparse = write_chunk(sparse, sparse_schema, tmp_path / "s.chunk")
-    # Explicit coordinates cost two length-prefixed int64 columns; the
-    # dense form pays only a validity bitmap instead.
-    assert size_sparse - size_dense == 2 * (8 + 8 * n) - (8 + math.ceil(n / 8))
-    saved_payload = 2 * 8 * n
-    total_payload = 13 * 8 * n
-    assert saved_payload / total_payload == pytest.approx(2 / 13)
-    assert 0.15 < saved_payload / total_payload < 0.16
+    # Header (magic, version, counts; box; kind and zone per attribute),
+    # bitmap length and bitmap, cell count, then 11 one-byte columns.
+    assert size_dense == 10 + 16 * 2 + 17 * 11 + 8 + math.ceil(n / 8) + \
+        8 + 11 * (17 + n)
+    # Explicit coordinates cost two 2-byte columns, each behind a 17-byte
+    # head (width, frame and length); the dense form pays only a validity
+    # bitmap and its length instead.
+    assert size_sparse - size_dense == \
+        2 * (17 + 2 * n) - (8 + math.ceil(n / 8))
+    saved_payload = 2 * 2 * n
+    total_payload = saved_payload + 11 * 1 * n
+    assert saved_payload / total_payload == pytest.approx(4 / 15)
 
     # The regrid pattern 1001001000 keeps 3 origins per 10 indices.
     pattern = BitPattern("1001001000")

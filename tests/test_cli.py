@@ -15,7 +15,7 @@ from arraybench.cli import (
 )
 from arraybench.errors import ConfigError, EngineError
 from arraybench.meter import Meter
-from arraybench.workload import BenchConfig, Workload
+from arraybench.workload import PHASE_ARRAYS, BenchConfig, Workload
 from tests.test_workload import SMALL, small_config
 
 
@@ -151,6 +151,21 @@ class TestRunBenchmark:
                 (len(reads), sum(reads))
             if phase != "load":
                 assert stage.chunks_read > 0
+
+    def test_build_phases_count_their_writes(self, tmp_path):
+        """load, cook and group each report the summed size of the chunk
+        files they wrote; a query writes nothing."""
+        report = run_benchmark(small_config(), tmp_path,
+                               phases=["load", "cook", "group", "q1"],
+                               param_configs=1, repetitions=1)
+        for phase, names in PHASE_ARRAYS.items():
+            sizes = [p.stat().st_size for name in names
+                     for p in (tmp_path / name).glob("*.chk")]
+            assert report.stage(phase).bytes_written == sum(sizes) > 0
+        assert report.stage("q1").bytes_written == 0
+        assert "written" in report.table().splitlines()[0].split()
+        assert "load.bytes_written\t%d" % report.stage("load").bytes_written \
+            in report.metric_lines()
 
     def test_defaults_match_flags(self):
         assert PARAM_CONFIGS == 5 and REPETITIONS == 10

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arraybench import (
     AggregationTree,
@@ -23,8 +24,14 @@ from arraybench import (
     run_gla_chunks,
 )
 from arraybench.errors import ConfigError
+from arraybench.gla import _pack, _unpack
 from tests.conftest import KINDS, make_extreme
-from tests.test_storage import dense_schema, random_dense_chunk
+from tests.test_storage import (
+    dense_schema,
+    int64_columns,
+    narrowest_width,
+    random_dense_chunk,
+)
 
 ALL_AGGS = [lambda: SumGLA("v"), lambda: CountGLA(), lambda: AvgGLA("v"),
             lambda: MinGLA("v"), lambda: MaxGLA("v"),
@@ -303,6 +310,28 @@ class TestTraffic:
         assert Spy.payloads
         # Payloads are plain picklings of the partial state.
         assert isinstance(pickle.loads(Spy.payloads[0]), list)
+
+
+class TestWireCodec:
+    """Every int64 array crosses workers through the frame codec."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 9), cols=st.integers(0, 3))
+    def test_int64_round_trip_at_narrowest_width(self, data, rows, cols):
+        shape = (rows, cols) if cols else (rows,)
+        a = data.draw(int64_columns(rows * max(cols, 1))).reshape(shape)
+        wire = _pack(a)
+        assert np.dtype(wire[0]).itemsize == narrowest_width(a.ravel())
+        back = _unpack(pickle.loads(pickle.dumps(wire)))
+        assert back.dtype == np.int64 and back.shape == a.shape
+        assert np.array_equal(back, a)
+
+    def test_other_arrays_are_raw(self):
+        floats = np.array([[1.5, np.nan], [-np.inf, 0.0]])
+        wire = _pack(floats)
+        assert wire[0] == floats.dtype.str and wire[3] is None
+        assert np.array_equal(_unpack(wire), floats, equal_nan=True)
+        assert _pack(None) is None and _unpack(None) is None
 
 
 class TestCatalogExecution:

@@ -158,8 +158,10 @@ class TestChunkFileFormat:
         write_chunk(chunk, schema, str(path))
         full = read_chunk(str(path), schema)
         only_v = read_chunk(str(path), schema, columns=["v"])
+        only_f = read_chunk(str(path), schema, columns=["f"])
         n = chunk.box.volume
         assert full.bytes_read - only_v.bytes_read == n * 8
+        assert full.bytes_read - only_f.bytes_read == n * V_WIDTH
         assert "f" not in only_v.columns
         assert np.array_equal(only_v.columns["v"], chunk.columns["v"])
         # Dense dimensions cost zero extra bytes: they are suppressed.
@@ -217,6 +219,11 @@ class TestChunkFileFormat:
 # and the bitmap and cell count that follow.
 DENSE_PREFIX = 10 + 16 * 2 + 17 * 2 + 8
 DENSE_BITMAP = (10 * 8 + 7) // 8
+# Each stored column's head: width byte, frame lo and payload length. The
+# int64 ``v`` of random_dense_chunk spans at most 199, so it is stored in 1
+# byte per cell; the float64 ``f`` is stored raw in 8.
+COLUMN_HEAD = 1 + 8 + 8
+V_WIDTH = 1
 
 
 @st.composite
@@ -284,19 +291,21 @@ class TestBoxedRead:
         path = str(tmp_path / "c.chk")
         write_chunk(chunk, schema, path)
         full = read_chunk(path, schema)
-        assert full.bytes_read == \
-            DENSE_PREFIX + DENSE_BITMAP + 8 + 2 * (8 + 80 * 8)
+        assert full.bytes_read == DENSE_PREFIX + DENSE_BITMAP + 8 + \
+            (COLUMN_HEAD + 80 * V_WIDTH) + (COLUMN_HEAD + 80 * 8)
         # x spans more than one value, so the band is rows x = 2..4 in
         # full: cells 16..39, bitmap bytes 2..4.
         band = read_chunk(path, schema, columns=["v"],
                           box=Box((2, 3), (4, 5)))
         assert band.box == Box((2, 0), (4, 7))
-        assert band.bytes_read == DENSE_PREFIX + 3 + 8 + 2 * 8 + 24 * 8
+        assert band.bytes_read == \
+            DENSE_PREFIX + 3 + 8 + 2 * COLUMN_HEAD + 24 * V_WIDTH
         assert np.array_equal(band.columns["v"], chunk.columns["v"][16:40])
         # One cell at offset 11: one bitmap byte, read from bit 3.
         one = read_chunk(path, schema, box=Box((1, 3), (1, 3)))
         assert one.box == Box((1, 3), (1, 3))
-        assert one.bytes_read == DENSE_PREFIX + 1 + 8 + 2 * (8 + 8)
+        assert one.bytes_read == \
+            DENSE_PREFIX + 1 + 8 + 2 * COLUMN_HEAD + V_WIDTH + 8
         assert one.validity.tolist() == [chunk.validity[11]]
         assert one.columns["f"].tolist() == [chunk.columns["f"][11]]
 
@@ -328,9 +337,10 @@ class TestBoxedRead:
         path = tmp_path / "c.chk"
         write_chunk(random_dense_chunk(rng), schema, str(path))
         # Column v's band (cells 16..39) starts after the bitmap, the cell
-        # count and v's length; cut the file 5 cells into it.
-        band_start = DENSE_PREFIX + DENSE_BITMAP + 8 + 8 + 16 * 8
-        path.write_bytes(path.read_bytes()[:band_start + 5 * 8])
+        # count and v's head; cut the file 5 cells into it.
+        band_start = DENSE_PREFIX + DENSE_BITMAP + 8 + COLUMN_HEAD + \
+            16 * V_WIDTH
+        path.write_bytes(path.read_bytes()[:band_start + 5 * V_WIDTH])
         with pytest.raises(FormatError):
             read_chunk(str(path), schema, box=Box((2, 3), (4, 5)))
 
@@ -348,6 +358,154 @@ class TestBoxedRead:
             got, gvalid = materialize(out, a)
             assert np.array_equal(gvalid, valid[sl])
             assert np.array_equal(got[gvalid], grids[a][sl][valid[sl]])
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+
+def narrowest_width(values) -> int:
+    """Oracle: the bytes per cell of the narrowest unsigned width that
+    holds max - min of ``values``; 1 for no values."""
+    values = [int(v) for v in values]
+    span = max(values) - min(values) if values else 0
+    return next(w for w in (1, 2, 4, 8) if span < 2 ** (8 * w))
+
+
+@st.composite
+def int64_columns(draw, n):
+    """n int64 values: offsets of up to 0, 8, 16, 32 or 64 bits from a base,
+    or of just one more than that, wrapped into int64, optionally with both
+    int64 extremes."""
+    base = draw(st.integers(INT64_MIN, INT64_MAX))
+    bits = draw(st.sampled_from([0, 8, 16, 32, 64]))
+    top = 2 ** bits - 1 + (bits < 64 and draw(st.booleans()))
+    offsets = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    if n:
+        offsets[0], offsets[-1] = 0, top
+    values = [(base + o - INT64_MIN) % 2**64 + INT64_MIN for o in offsets]
+    if n >= 2 and draw(st.booleans()):
+        values[0], values[-1] = INT64_MIN, INT64_MAX
+    return np.array(values, dtype=np.int64)
+
+
+@st.composite
+def coded_dense_cases(draw):
+    """A 1-D or 2-D dense chunk of one int64 and one float64 column whose
+    invalid cells hold any int64, and a query box that meets it."""
+    ndim = draw(st.integers(1, 2))
+    extents = [draw(st.integers(1, 6)) for _ in range(ndim)]
+    box = Box((0,) * ndim, tuple(e - 1 for e in extents))
+    schema = ArraySchema(
+        "c", tuple(DimensionSpec(f"d{i}", 0, e - 1)
+                   for i, e in enumerate(extents)),
+        (AttributeSpec("v", "int64"), AttributeSpec("f", "float64")),
+        "dense")
+    n = box.volume
+    values = draw(int64_columns(n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    floats = draw(st.lists(st.floats(allow_nan=True), min_size=n,
+                           max_size=n))
+    chunk = make_dense_chunk(schema, box, {"v": values, "f": floats}, valid)
+    qlo = tuple(draw(st.integers(0, e - 1)) for e in extents)
+    qhi = tuple(draw(st.integers(l, e - 1)) for l, e in zip(qlo, extents))
+    return schema, chunk, Box(qlo, qhi)
+
+
+class TestFrameCodec:
+    """Every int64 column is stored as value - lo at the narrowest width
+    over all its stored cells, and read back exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=coded_dense_cases())
+    def test_dense_round_trip(self, case):
+        schema, chunk, query = case
+        n, ndim = chunk.box.volume, chunk.box.ndim
+        width = narrowest_width(chunk.columns["v"])
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.chk")
+            nbytes = write_chunk(chunk, schema, path)
+            full = read_chunk(path, schema)
+            band = read_chunk(path, schema, box=query)
+        assert nbytes == 10 + 16 * ndim + 17 * 2 + 8 + (n + 7) // 8 + 8 + \
+            (COLUMN_HEAD + n * width) + (COLUMN_HEAD + n * 8)
+        assert full.columns["v"].dtype == np.int64
+        assert np.array_equal(full.columns["v"], chunk.columns["v"])
+        assert np.array_equal(full.columns["f"], chunk.columns["f"],
+                              equal_nan=True)
+        assert np.array_equal(full.validity, chunk.validity)
+        assert full.zone_meta == chunk.zone_meta
+        # The band's cells, taken from the stored grids.
+        sl = tuple(slice(l, h + 1) for l, h in band.box.ranges())
+        for a in ("v", "f"):
+            want = chunk.columns[a].reshape(chunk.box.extents)[sl].ravel()
+            assert np.array_equal(band.columns[a], want, equal_nan=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 12))
+    def test_sparse_round_trip(self, data, n):
+        schema = ArraySchema("s", (DimensionSpec("x", INT64_MIN, INT64_MAX),),
+                             (AttributeSpec("v", "int64"),), "sparse")
+        xs = data.draw(int64_columns(n))
+        vs = data.draw(int64_columns(n))
+        chunk = make_sparse_chunk(schema, schema.box, {"x": xs}, {"v": vs})
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.chk")
+            nbytes = write_chunk(chunk, schema, path)
+            back = read_chunk(path, schema)
+        assert nbytes == 10 + 16 + 17 + 8 + \
+            (COLUMN_HEAD + n * narrowest_width(xs)) + \
+            (COLUMN_HEAD + n * narrowest_width(vs))
+        assert np.array_equal(back.dim_columns["x"], xs)
+        assert np.array_equal(back.columns["v"], vs)
+
+    def test_extremes_single_value_and_invalid_cells(self, tmp_path):
+        schema = ArraySchema("c", (DimensionSpec("x", 0, 3),),
+                             (AttributeSpec("v", "int64"),), "dense")
+        path = str(tmp_path / "c.chk")
+        # Header, the one-byte bitmap, cell count and the column's head.
+        head = 10 + 16 + 17 + 8 + 1 + 8 + COLUMN_HEAD
+        cases = [([7, 7, 7, 7], [True] * 4, 1),
+                 ([-1, 254, 0, 0], [True] * 4, 1),
+                 ([-1, 255, 0, 0], [True] * 4, 2),
+                 ([9, 2**16 + 8, 9, 9], [True] * 4, 2),
+                 ([9, 2**16 + 9, 9, 9], [True] * 4, 4),
+                 ([0, 2**32 - 1, 0, 0], [True] * 4, 4),
+                 ([0, 2**32, 0, 0], [True] * 4, 8),
+                 # Invalid cells outside the zone (5, 6) widen the frame.
+                 ([5, INT64_MIN, 6, INT64_MAX], [True, False, True, False],
+                  8),
+                 ([5, -1000, 6, 300], [True, False, True, False], 2)]
+        for values, valid, width in cases:
+            chunk = make_dense_chunk(schema, schema.box, {"v": values},
+                                     valid)
+            assert write_chunk(chunk, schema, path) == head + 4 * width
+            back = read_chunk(path, schema)
+            assert back.columns["v"].tolist() == values
+            assert back.zone_meta["v"] == chunk.zone_meta["v"]
+            one = read_chunk(path, schema, box=Box((3,), (3,)))
+            assert one.columns["v"].tolist() == values[3:]
+            assert one.bytes_read == head + width
+
+    def test_version_1_rejected(self, rng, tmp_path):
+        schema = dense_schema()
+        path = tmp_path / "c.chk"
+        write_chunk(random_dense_chunk(rng), schema, str(path))
+        data = bytearray(path.read_bytes())
+        assert data[4:6] == (2).to_bytes(2, "little")
+        data[4:6] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="format version 1"):
+            read_chunk(str(path), schema)
+
+    def test_writes_reach_the_meter(self, rng, tmp_path):
+        schema = dense_schema()
+        with metered() as meter:
+            sizes = [write_chunk(random_dense_chunk(rng), schema,
+                                 str(tmp_path / f"{i}.chk"))
+                     for i in range(3)]
+        assert meter.bytes_written == sum(sizes) == sum(
+            (tmp_path / f"{i}.chk").stat().st_size for i in range(3))
+        assert meter.bytes_read == meter.chunks_read == 0
 
 
 class TestPlacement:

@@ -605,6 +605,43 @@ class TestWorkloadEndToEnd:
         assert wl.q8(0, **slab, d6=5)[0] == []
         assert wl.q9(0, **slab, d6=5)[0] == []
 
+    SLAB = dict(gx=0, gy=0, w=1999, h=1999)
+    QUERIES = {"q4": dict(gx=0, gy=0, t2=1999, u2=1999), "q5": SLAB,
+               "q6": dict(SLAB, d4=20, d5=1), "q7": SLAB,
+               "q8": dict(SLAB, d6=5), "q9": dict(SLAB, d6=5)}
+
+    def _rerun(self, tmp_path, cooked, phase, **overrides):
+        """A copy of the cooked catalog with ``phase`` run again; returns
+        the workload that ran it and a fresh one over the same catalog."""
+        shutil.copytree(cooked.catalog.data_dir, tmp_path / "c")
+        wl = Workload(small_config(**overrides), tmp_path / "c")
+        getattr(wl, phase)()
+        return wl, Workload(wl.config, tmp_path / "c")
+
+    def test_recook_drops_the_groups(self, tmp_path, cooked):
+        """The groups of the old observations are gone after a second
+        cook: q7-q9 ask for the group phase until it runs again."""
+        wl, fresh = self._rerun(tmp_path, cooked, "cook",
+                                cook_threshold=10**9)
+        assert wl.groups == {}
+        for w in (wl, fresh):
+            for q in ("q7", "q8", "q9"):
+                with pytest.raises(DependencyError, match="'group' phase"):
+                    getattr(w, q)(0, **self.QUERIES[q])
+        assert fresh.q5(0, **self.SLAB)[0] == {"count": 0, "obs_ids": []}
+        fresh.group()
+        assert fresh.q7(0, **self.SLAB)[0] == []
+
+    def test_regenerate_drops_everything_derived(self, tmp_path, cooked):
+        """After a second generate, q4-q9 ask for the cook phase."""
+        wl, fresh = self._rerun(tmp_path, cooked, "generate")
+        assert wl.observations == {} and wl.groups == {}
+        assert set(fresh.catalog.arrays) == {"images", "image_origin"}
+        for w in (wl, fresh):
+            for q, params in self.QUERIES.items():
+                with pytest.raises(DependencyError, match="'cook' phase"):
+                    getattr(w, q)(0, **params)
+
 
 class TestQueries:
     def test_q1_matches_direct_average(self, cooked):
