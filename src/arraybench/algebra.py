@@ -340,7 +340,8 @@ def _clipped_schema(schema: ArraySchema, new_box: Box) -> ArraySchema:
 
 
 def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
-    """Clip (subsample) or extend the array domain."""
+    """Clip (subsample) or extend the array domain. Clipping keeps a chunk
+    inside ``new_box`` as it is and drops a sparse chunk left empty."""
     if new_box.ndim != len(array.schema.dims):
         raise DomainError("rebox dimensionality mismatch")
     if mode == "extend":
@@ -359,20 +360,20 @@ def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
         inter = box_intersect(c.box, inter_box)
         if inter is None:
             continue
-        if c.layout == DENSE:
-            chunks.append(_clip_dense_chunk(schema, c, inter))
-        else:
-            clipped = _clip_sparse_chunk(schema, c, inter)
-            if clipped.cell_count:
-                chunks.append(clipped)
+        if inter != c.box:
+            c = (_clip_dense_chunk if c.layout == DENSE
+                 else _clip_sparse_chunk)(schema, c, inter)
+        if c.cell_count:
+            chunks.append(c)
     return Array(schema, chunks)
 
 
 def rebox_stored(catalog, name: str, new_box: Box, columns=None,
                  predicate: dict | None = None) -> Array:
     """Range query against a stored array: prune by zone metadata, read
-    only intersecting chunks (only the requested columns, and of a dense
-    chunk only the band of rows that ``new_box`` covers), clip."""
+    only intersecting chunks and columns. Of a dense chunk, the band of rows
+    that ``new_box`` covers is read and only its cells inside ``new_box``
+    are returned (``storage.read_chunk``), so nothing is clipped again."""
     entry = catalog.entry(name)
     chunk_ids = catalog.prune(name, new_box, predicate)
     chunks = [catalog.read(name, cid, columns=columns, box=new_box)

@@ -39,6 +39,7 @@ from .model import (
     AttributeSpec,
     Box,
     DimensionSpec,
+    box_intersect,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -177,8 +178,9 @@ def _window_grid(spec: _StencilSpec, box: Box, valid, grids, sel):
             dtype = np.dtype(e.dtype if e.exact else np.float64)
             identity, members, slots = stacks.setdefault(
                 (e.ufunc, dtype), (e.identity(dtype), [], []))
-            members.append(np.where(valid, grids[e.attr], identity))
+            members.append(grids[e.attr])
             slots.append(i)
+    where = True if valid.all() else valid  # mask only where cells are invalid
     steps = []  # per dimension: (slice of sel[d], index into the box)
     for s, lo, hi, (l, h) in zip(sel, box.lo, box.hi, spec.shape.ranges):
         run = s[-1] - s[0] == len(s) - 1  # consecutive: index by a view
@@ -191,11 +193,21 @@ def _window_grid(spec: _StencilSpec, box: Box, valid, grids, sel):
     out = {}  # slot -> folded grid
     with np.errstate(invalid="ignore"):  # inf + -inf is NaN, by the rule
         for (ufunc, dtype), (identity, members, slots) in stacks.items():
-            acc = np.stack(members, dtype=dtype)
+            # Staging folds each member into the identity, as a pass below
+            # would: a float sum of -0.0 is +0.0 with no pass run.
+            acc = np.empty((len(members),) + valid.shape, dtype)
+            for row, grid in zip(acc, members):
+                if where is not True:
+                    row.fill(identity)
+                ufunc(grid, identity, out=row, where=where)
             for axis, (s, dim_steps) in enumerate(zip(sel, steps), start=1):
+                lead = (slice(None),) * axis
+                if [dst for dst, _ in dim_steps] == [slice(0, len(s))]:
+                    # One offset reaching every origin: a selection.
+                    acc = acc[lead + (dim_steps[0][1],)]
+                    continue
                 folded = np.full(acc.shape[:axis] + (len(s),)
                                  + acc.shape[axis + 1:], identity, dtype)
-                lead = (slice(None),) * axis
                 for dst, src in dim_steps:
                     view = folded[lead + (dst,)]
                     ufunc(view, acc[lead + (src,)], out=view)
@@ -309,6 +321,8 @@ def _overlap_chunk(spec: _StencilSpec, chunk):
     from the chunk's box expanded by the shape: the replicated region."""
     cbox = chunk.box
     exp = _expanded_box(spec, cbox)
+    if exp is None:
+        return []
     if spec.slow:
         origins = spec.near(cbox, reach=False)
         if not origins.shape[1]:
@@ -332,12 +346,12 @@ def _overlap_chunk(spec: _StencilSpec, chunk):
              GroupStates(spec.entries, None, counts, states))]
 
 
-def _expanded_box(spec, cbox: Box) -> Box:
-    lo = tuple(max(c + l, a) for c, (l, _), a
-               in zip(cbox.lo, spec.shape.ranges, spec.abox.lo))
-    hi = tuple(min(c + h, a) for c, (_, h), a
-               in zip(cbox.hi, spec.shape.ranges, spec.abox.hi))
-    return Box(lo, hi)
+def _expanded_box(spec, cbox: Box):
+    """The cells of the array that the windows of the origins in ``cbox``
+    reach; None when every such window leaves the array."""
+    lo = tuple(c + l for c, (l, _) in zip(cbox.lo, spec.shape.ranges))
+    hi = tuple(c + h for c, (_, h) in zip(cbox.hi, spec.shape.ranges))
+    return box_intersect(Box(lo, hi), spec.abox)
 
 
 # ---------------------------------------------------------------------------

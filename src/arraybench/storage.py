@@ -14,9 +14,10 @@ rejected with ``FormatError``.
 
 Reads fetch only the requested column blocks, and for a dense chunk read
 with a query box only the band of rows that the box covers, plus the
-matching bytes of the validity bitmap. Every read counts its chunk and
-bytes into the enclosing ``metered()`` measurement, and every write its
-bytes, so I/O claims are testable.
+matching bytes of the validity bitmap; of that band only the cells inside
+the box are decoded and returned. Every read counts its chunk and bytes
+into the enclosing ``metered()`` measurement, and every write its bytes,
+so I/O claims are testable.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .model import (
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
+    compute_zone_meta,
     frame_decode,
     frame_encode,
     make_dense_chunk,
@@ -227,14 +229,16 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
     query's up to and including the first dimension where the query spans
     more than one value, and the chunk's after it. Only that band of each
     wanted column, and the bitmap bytes that hold its validity bits, are
-    read; the returned chunk covers the band (its attribute zones are the
-    stored chunk's, which bound the band's cells), and the caller clips it
-    to ``box``. A box that misses the chunk raises ``DomainError``. Sparse
-    chunks ignore ``box``, because their cells need their coordinates.
-    ``None`` reads the whole chunk.
+    read from disk; only the band's cells inside ``box`` are decoded. The
+    returned chunk covers chunk box ∩ ``box``, and the zones of the
+    attributes read are exact: the stored ones when that is the whole
+    chunk, otherwise computed over the decoded valid cells. A box that
+    misses the chunk raises ``DomainError``. Sparse chunks ignore ``box``,
+    because their cells need their coordinates. ``None`` reads the whole
+    chunk.
 
     Each column is stored with its width and frame ``lo`` (see the module
-    docstring); an int64 band is decoded exactly to int64, a float64 band
+    docstring); an int64 column is decoded exactly to int64, a float64 one
     is returned as stored, and a band starts ``start * width`` bytes into
     its column. A file of another format version raises ``FormatError``.
 
@@ -268,8 +272,9 @@ def _read_exact(f, n, what, locator):
 
 
 def _band(chunk_box: Box, query_box: Box):
-    """The band of ``chunk_box`` that holds every cell of ``query_box``
-    inside it, and the row-major offset of the band's first cell."""
+    """The cells of ``query_box`` inside ``chunk_box``, the band of
+    ``chunk_box`` that holds them, and the row-major offset of the band's
+    first cell."""
     inter = box_intersect(chunk_box, query_box)
     if inter is None:
         raise DomainError(f"query box {query_box} misses chunk box {chunk_box}")
@@ -282,7 +287,7 @@ def _band(chunk_box: Box, query_box: Box):
     start = 0
     for c, lo, extent in zip(band.lo, chunk_box.lo, chunk_box.extents):
         start = start * extent + (c - lo)
-    return band, start
+    return inter, band, start
 
 
 def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
@@ -317,13 +322,16 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
             raise FormatError(
                 f"attribute {attr.name!r} kind mismatch in {locator}")
         zones[attr.name], off = _unpack_zone(attr.kind, zbuf, off)
-    # Cells [start, start + n) of every stored column are read.
-    band, start = box, 0
+    # Cells [start, start + n) of every stored column are read; of a dense
+    # band, only the cells of ``inter`` are decoded.
+    inter, band, start = box, box, 0
     validity = None
     if layout == DENSE:
         if query_box is not None:
-            band, start = _band(box, query_box)
+            inter, band, start = _band(box, query_box)
         n = band.volume
+        clip = tuple(slice(l - b, h - b + 1)
+                     for l, h, b in zip(inter.lo, inter.hi, band.lo))
         (blen,) = struct.unpack(
             "<Q", _read_exact(f, 8, "bitmap length", locator))
         if blen != (box.volume + 7) // 8:
@@ -335,8 +343,8 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
         bitmap = _read_exact(f, last - first + 1, "validity bitmap", locator)
         f.seek(blen - last - 1, os.SEEK_CUR)
         bit0 = start % 8
-        validity = np.unpackbits(
-            np.frombuffer(bitmap, dtype=np.uint8))[bit0:bit0 + n].astype(bool)
+        validity = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8))[
+            bit0:bit0 + n].view(bool).reshape(band.extents)[clip].ravel()
     (count,) = struct.unpack("<Q", _read_exact(f, 8, "cell count", locator))
     if layout == DENSE and count != box.volume:
         raise FormatError(
@@ -370,11 +378,12 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
                 raise FormatError(
                     f"truncated column {name!r} in chunk file {locator}")
             f.seek(blen - (start + n) * width, os.SEEK_CUR)
-            if kind == KIND_INT64:
-                read_cols[name] = frame_decode(
-                    lo, np.frombuffer(payload, FRAME_DTYPES[width]))
-            else:
-                read_cols[name] = np.frombuffer(payload, np.float64)
+            cells = np.frombuffer(payload, FRAME_DTYPES[width]
+                                  if kind == KIND_INT64 else np.float64)
+            if layout == DENSE:
+                cells = cells.reshape(band.extents)[clip]
+            read_cols[name] = (frame_decode(lo, cells)
+                               if kind == KIND_INT64 else cells).ravel()
         else:
             f.seek(blen, os.SEEK_CUR)
 
@@ -383,16 +392,18 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
         dim_columns = {n: read_cols.pop(n) for n in schema.dim_names
                        if n in read_cols}
     attr_cols = {n: read_cols[n] for n in schema.attr_names if n in read_cols}
-    meta = dict(zones)
+    if inter != box:
+        meta = compute_zone_meta(schema, inter, DENSE, attr_cols, validity)
+        return Chunk(chunk_id, inter, layout, attr_cols, validity=validity,
+                     zone_meta=meta)
+    meta = {n: zones[n] for n in attr_cols}
     for i, d in enumerate(schema.dims):
-        if layout == DENSE:
-            meta[d.name] = (band.lo[i], band.hi[i])
-        elif dim_columns and d.name in dim_columns and len(dim_columns[d.name]):
+        if dim_columns and d.name in dim_columns and len(dim_columns[d.name]):
             meta[d.name] = (int(dim_columns[d.name].min()),
                             int(dim_columns[d.name].max()))
         else:
             meta[d.name] = (box.lo[i], box.hi[i])
-    return Chunk(chunk_id, band, layout, attr_cols, validity=validity,
+    return Chunk(chunk_id, box, layout, attr_cols, validity=validity,
                  dim_columns=dim_columns, zone_meta=meta)
 
 

@@ -719,8 +719,10 @@ class Workload:
 
         Each chunk holding a wanted cell is read in bands of rows (x): one
         band per run of consecutive rows with a wanted cell, so no row
-        without one is read and no row is read twice. A one-row band is
-        narrowed to the wanted cells' span of y."""
+        without one is read and no row is read twice. Every band is
+        narrowed to the wanted cells' span of y: a one-row band on disk,
+        any band once decoded (``storage.read_chunk`` returns only the
+        cells inside its box)."""
         names = [f"v{k}" for k in range(2, N_VALUES + 1)]
         out = {name: np.empty(len(xs), dtype=np.int64) for name in names}
         entry = self.catalog.entry("images")

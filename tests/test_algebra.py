@@ -145,6 +145,21 @@ class TestRebox:
         assert array_cells_sorted(out) == expected
 
 
+    def test_chunks_inside_the_box_kept_as_they_are(self, rng):
+        dense, _, _ = make_dense_2d(rng, 10, 10, chunk_shape=(4, 4))
+        sparse, _, _ = make_sparse_2d(rng, 10, 10, 40, chunk_shape=(4, 4))
+        box = Box((0, 0), (7, 8))
+        for arr in (dense, sparse):
+            inside = [c for c in arr.chunks if box.contains_box(c.box)]
+            kept = [c for c in rebox(arr, box).chunks
+                    if any(c is k for k in inside)]
+            assert len(kept) == len(inside) == 4
+        # A sparse chunk without cells is dropped.
+        empty = make_sparse_chunk(sparse.schema, Box((0, 0), (3, 3)),
+                                  {"x": [], "y": []}, {"a0": [], "a1": []})
+        assert rebox(Array(sparse.schema, [empty]), box).chunks == []
+
+
 class TestFilter:
     def test_matches_oracle_dense(self, rng):
         for trial in range(20):

@@ -5,14 +5,19 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arraybench import (
     AggregateFn,
+    ArraySchema,
+    AttributeSpec,
     BitPattern,
     Box,
     CountGLA,
+    DimensionSpec,
     NeighborhoodShape,
     apply_plus,
+    dense_array,
     materialize,
     reduce,
 )
@@ -45,12 +50,14 @@ def stencil_oracle(grid, valid, shape, origin_coords, kind, lo=(0, 0)):
         vals = grid[sl][valid[sl]]
         if len(vals) == 0:
             continue
+        # A sum starts from +0.0, as the engine's does (``gla._Sum``), so a
+        # window holding only -0.0 sums to +0.0.
         if kind == "sum":
-            out[(ox, oy)] = float(vals.sum())
+            out[(ox, oy)] = float(vals.sum(initial=0.0))
         elif kind == "count":
             out[(ox, oy)] = len(vals)
         elif kind == "avg":
-            out[(ox, oy)] = float(vals.mean())
+            out[(ox, oy)] = float(vals.sum(initial=0.0) / len(vals))
         elif kind == "min":
             out[(ox, oy)] = float(vals.min())
         elif kind == "max":
@@ -262,6 +269,72 @@ class TestSeparableWindows:
                     assert got[index].item() == expected
                 else:
                     assert_aggregate_equal(kind, got[index].item(), expected)
+
+
+@st.composite
+def special_float_windows(draw):
+    """A partly invalid, unevenly chunked 2-D float64 array whose cells are
+    one sign of zero, small dyadic values (so every sum is exact), one sign
+    of infinity (so no sum makes a new NaN) and NaN; a shape with at least
+    one zero-width dimension; and either every valid cell or a bit pattern
+    per dimension as origins."""
+    extents = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    n = extents[0] * extents[1]
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    inf = draw(st.sampled_from([np.inf, -np.inf]))
+    values = draw(st.lists(st.sampled_from(
+        [zero, zero, zero, 1.0, -1.5, 0.25, inf, np.nan]),
+        min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    chunk_shape = tuple(draw(st.integers(1, e)) for e in extents)
+    single = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    ranges = []
+    for d, e in enumerate(extents):
+        lo = draw(st.integers(-2, 2))
+        width = 0 if d in single else draw(st.integers(0, min(e - 1, 3)))
+        ranges.append((lo, lo + width))
+    pattern = st.sampled_from(["1", "10", "110"])  # each selects cell 0
+    patterns = draw(st.none() | st.tuples(pattern, pattern))
+    return (extents, np.array(values), np.array(valid).reshape(extents),
+            chunk_shape, NeighborhoodShape.of(*ranges), patterns)
+
+
+class TestSpecialFloatBits:
+    @settings(max_examples=120, deadline=None)
+    @given(case=special_float_windows())
+    def test_merge_overlap_and_oracle_agree_bitwise(self, case):
+        """-0.0, +-inf and NaN come out with the same bits from both
+        boundary strategies and the per-origin oracle."""
+        extents, values, valid, chunk_shape, shape, patterns = case
+        schema = ArraySchema("f", tuple(DimensionSpec(d, 0, e - 1)
+                                        for d, e in zip("xy", extents)),
+                             (AttributeSpec("v", "float64"),), "dense")
+        arr = dense_array(schema, {"v": values, "__valid__": valid.ravel()},
+                          chunk_shape=chunk_shape)
+        if patterns is None:
+            origins = "valid"
+            cells = {(x, y): (x, y) for x, y in zip(*np.nonzero(valid))}
+        else:
+            origins = dict(zip("xy", patterns))
+            sel = [BitPattern(p).selected(0, e - 1)
+                   for p, e in zip(patterns, extents)]
+            cells = {(i, j): (x, y) for i, x in enumerate(sel[0])
+                     for j, y in enumerate(sel[1])}
+        kinds = ("sum", "avg", "min", "max")
+        aggs = [AggregateFn(kind, "v", kind) for kind in kinds]
+        outs = [apply_plus(arr, shape, origins, aggs, boundary=b,
+                           n_workers=2) for b in ("merge", "overlap")]
+        grid = values.reshape(extents)
+        for kind in kinds:
+            expected = stencil_oracle(grid, valid, shape,
+                                      list(cells.values()), kind)
+            want = {k: expected[o] for k, o in cells.items() if o in expected}
+            for out in outs:
+                got, gvalid = materialize(out, kind)
+                assert set(zip(*np.nonzero(gvalid))) == set(want)
+                for k, v in want.items():
+                    assert got[k].view(np.int64) == \
+                        np.float64(v).view(np.int64), (kind, k, got[k], v)
 
 
 class TestStrategyAgreement:

@@ -25,6 +25,7 @@ from arraybench import (
     tile_box,
     write_chunk,
 )
+from arraybench.model import box_intersect, compute_zone_meta
 from arraybench.errors import (
     CatalogError,
     ConfigError,
@@ -293,14 +294,17 @@ class TestBoxedRead:
         full = read_chunk(path, schema)
         assert full.bytes_read == DENSE_PREFIX + DENSE_BITMAP + 8 + \
             (COLUMN_HEAD + 80 * V_WIDTH) + (COLUMN_HEAD + 80 * 8)
-        # x spans more than one value, so the band is rows x = 2..4 in
-        # full: cells 16..39, bitmap bytes 2..4.
+        # x spans more than one value, so the band read is rows x = 2..4
+        # in full: cells 16..39, bitmap bytes 2..4. Only the box's 9 cells
+        # are returned.
         band = read_chunk(path, schema, columns=["v"],
                           box=Box((2, 3), (4, 5)))
-        assert band.box == Box((2, 0), (4, 7))
+        assert band.box == Box((2, 3), (4, 5))
         assert band.bytes_read == \
             DENSE_PREFIX + 3 + 8 + 2 * COLUMN_HEAD + 24 * V_WIDTH
-        assert np.array_equal(band.columns["v"], chunk.columns["v"][16:40])
+        assert np.array_equal(band.columns["v"],
+                              chunk.columns["v"].reshape(10, 8)[2:5, 3:6]
+                              .ravel())
         # One cell at offset 11: one bitmap byte, read from bit 3.
         one = read_chunk(path, schema, box=Box((1, 3), (1, 3)))
         assert one.box == Box((1, 3), (1, 3))
@@ -343,6 +347,36 @@ class TestBoxedRead:
         path.write_bytes(path.read_bytes()[:band_start + 5 * V_WIDTH])
         with pytest.raises(FormatError):
             read_chunk(str(path), schema, box=Box((2, 3), (4, 5)))
+
+    def test_rebox_stored_decodes_only_the_box(self, rng, tmp_path,
+                                              monkeypatch):
+        """Each dense chunk comes back from the read already clipped to
+        the query, with exact zones, so ``rebox`` copies nothing."""
+        arr, grids, valid = make_dense_2d(rng, 16, 12, chunk_shape=(5, 5))
+        cat = Catalog(tmp_path)
+        cat.create_array(arr.schema)
+        cat.add_chunks("a", arr.chunks)
+
+        def no_clip(*args):
+            raise AssertionError("a dense chunk was clipped after the read")
+
+        monkeypatch.setattr("arraybench.algebra._clip_dense_chunk", no_clip)
+        for query in (Box((3, 2), (12, 8)), Box((7, 0), (7, 11)),
+                      Box((0, 0), (15, 11)), Box((-3, 4), (4, 40))):
+            out = rebox_stored(cat, "a", query)
+            assert out.chunks
+            for chunk in out.chunks:
+                stored = cat.entry("a").ref(chunk.chunk_id).box
+                assert chunk.box == box_intersect(stored, query)
+                sl = tuple(slice(l, h + 1) for l, h in chunk.box.ranges())
+                assert np.array_equal(chunk.validity, valid[sl].ravel())
+                for a in ("a0", "a1"):
+                    assert len(chunk.columns[a]) == chunk.box.volume
+                    assert np.array_equal(chunk.columns[a],
+                                          grids[a][sl].ravel())
+                assert chunk.zone_meta == compute_zone_meta(
+                    arr.schema, chunk.box, "dense", chunk.columns,
+                    chunk.validity)
 
     def test_rebox_stored_tile_reads_a_tenth_of_its_chunk(self, rng,
                                                          tmp_path):
