@@ -11,7 +11,10 @@ aggregate wire states share.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -51,9 +54,13 @@ def frame_encode(values: np.ndarray):
                            casting="unsafe")
 
 
-def frame_decode(lo: int, deltas: np.ndarray) -> np.ndarray:
-    """The int64 array that ``frame_encode`` gave ``(lo, deltas)`` for."""
-    return np.add(deltas, np.int64(lo), dtype=np.int64, casting="unsafe")
+def frame_decode(lo, deltas: np.ndarray, out=None) -> np.ndarray:
+    """The int64 array that ``frame_encode`` gave ``(lo, deltas)`` for,
+    written to ``out`` if given. ``lo`` may also be an int64 array that
+    broadcasts against ``deltas``, such as one frame per row of a stack of
+    columns."""
+    return np.add(deltas, np.int64(lo), out=out, dtype=np.int64,
+                  casting="unsafe")
 
 
 def dtype_for(kind: str) -> np.dtype:
@@ -96,6 +103,9 @@ class AttributeSpec:
         return dtype_for(self.kind)
 
 
+_plus_one = partial(operator.add, 1)
+
+
 @dataclass(frozen=True)
 class Box:
     """Per-dimension inclusive ranges [lo_d, hi_d]."""
@@ -106,11 +116,12 @@ class Box:
     def __post_init__(self):
         if len(self.lo) != len(self.hi):
             raise DomainError("box lo/hi length mismatch")
-        object.__setattr__(self, "lo", tuple(int(v) for v in self.lo))
-        object.__setattr__(self, "hi", tuple(int(v) for v in self.hi))
-        for l, h in zip(self.lo, self.hi):
-            if l > h:
-                raise DomainError(f"box range [{l}:{h}] is empty")
+        lo, hi = tuple(map(int, self.lo)), tuple(map(int, self.hi))
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not all(map(operator.le, lo, hi)):
+            l, h = next((l, h) for l, h in zip(lo, hi) if l > h)
+            raise DomainError(f"box range [{l}:{h}] is empty")
 
     @classmethod
     def of(cls, *ranges) -> "Box":
@@ -123,14 +134,11 @@ class Box:
 
     @property
     def extents(self) -> tuple:
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+        return tuple(map(_plus_one, map(operator.sub, self.hi, self.lo)))
 
     @property
     def volume(self) -> int:
-        n = 1
-        for e in self.extents:
-            n *= e
-        return n
+        return math.prod(self.extents)
 
     def contains_box(self, other: "Box") -> bool:
         return all(l <= ol and oh <= h
@@ -154,9 +162,8 @@ def box_intersect(a: Box, b: Box):
     """Component-wise intersection; None when disjoint on any dimension."""
     if a.ndim != b.ndim:
         raise DomainError(f"dimensionality mismatch: {a.ndim} vs {b.ndim}")
-    lo = tuple(max(x, y) for x, y in zip(a.lo, b.lo))
-    hi = tuple(min(x, y) for x, y in zip(a.hi, b.hi))
-    if any(l > h for l, h in zip(lo, hi)):
+    lo, hi = tuple(map(max, a.lo, b.lo)), tuple(map(min, a.hi, b.hi))
+    if not all(map(operator.le, lo, hi)):
         return None
     return Box(lo, hi)
 
@@ -212,19 +219,25 @@ class ArraySchema:
         return ArraySchema(self.name, self.dims, tuple(attrs), self.density)
 
 
-def _zone_of(values: np.ndarray, kind: str):
-    """(min, max) of the values, ignoring NaN: a range predicate never
-    matches NaN, so a zone need not cover it. No values, or only NaN, give
-    the empty zone."""
-    if values.size == 0:
-        return EMPTY_ZONE_INT if kind == KIND_INT64 else EMPTY_ZONE_FLOAT
+def row_zones(values: np.ndarray, kind: str) -> list:
+    """The (min, max) of each row of a 2-D array, ignoring NaN: a range
+    predicate never matches NaN, so a zone need not cover it. A row of no
+    values, or only NaN, gets the empty zone."""
+    if values.shape[1] == 0:
+        empty = EMPTY_ZONE_INT if kind == KIND_INT64 else EMPTY_ZONE_FLOAT
+        return [empty] * len(values)
     if kind == KIND_INT64:
-        return int(values.min()), int(values.max())
+        return list(zip(values.min(axis=1).tolist(),
+                        values.max(axis=1).tolist()))
     # fmin/fmax skip NaN and give NaN only when every value is NaN.
-    lo = float(np.fmin.reduce(values))
-    if lo != lo:
-        return EMPTY_ZONE_FLOAT
-    return lo, float(np.fmax.reduce(values))
+    return [(lo, hi) if lo == lo else EMPTY_ZONE_FLOAT
+            for lo, hi in zip(np.fmin.reduce(values, axis=1).tolist(),
+                              np.fmax.reduce(values, axis=1).tolist())]
+
+
+def _zone_of(values: np.ndarray, kind: str):
+    """The zone of one column (see ``row_zones``)."""
+    return row_zones(values.reshape(1, -1), kind)[0]
 
 
 @dataclass

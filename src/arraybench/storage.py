@@ -3,25 +3,32 @@ catalog.
 
 One file per chunk under ``<data_dir>/<array>/<chunk_id>.chk``; each array
 also has a text manifest listing its schema and chunk index. A chunk file
-(format version 2) holds a header (box, zones, validity bitmap of a dense
-chunk, cell count), then one block per stored column: a width byte, a
-frame ``lo`` and the payload's length, then the payload. An int64 column
-(a sparse chunk's coordinates included) is stored exactly as ``value -
-lo`` in 1, 2, 4 or 8 bytes per cell, the narrowest that holds the span of
-every stored cell (``model.frame_encode``); a float64 column is stored raw
-at width 8. Version-1 files, which stored every cell in 8 bytes, are
-rejected with ``FormatError``.
+(format version 3) starts with its head, whose fields all have fixed
+sizes: the header (magic, version, layout, counts), the box, each
+attribute's kind and zone, the validity bitmap's length (dense chunks
+only), the cell count, and each stored column's head (a width byte, a
+frame ``lo`` and the payload's length). The validity bitmap of a dense
+chunk and the column payloads follow. An int64 column (a sparse chunk's
+coordinates included) is stored exactly as ``value - lo`` in 1, 2, 4 or 8
+bytes per cell, the narrowest that holds the span of every stored cell
+(``model.frame_encode``); a float64 column is stored raw at width 8.
+Files of versions 1 (every cell in 8 bytes) and 2 (the same fields as
+version 3, each column's head in front of its payload) are rejected with
+``FormatError``.
 
-Reads fetch only the requested column blocks, and for a dense chunk read
-with a query box only the band of rows that the box covers, plus the
-matching bytes of the validity bitmap; of that band only the cells inside
-the box are decoded and returned. Every read counts its chunk and bytes
-into the enclosing ``metered()`` measurement, and every write its bytes,
-so I/O claims are testable.
+A read takes the whole head with one call, so its cost does not grow
+with the column count: then it reads the bitmap slice of a dense chunk
+and each requested column with one call each. For a dense chunk read
+with a query box only the band of rows that the box covers is read, and
+of that band only the cells inside the box are decoded and returned.
+Every read counts its chunk and bytes into the enclosing ``metered()``
+measurement, and every write its bytes, so I/O claims are testable.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -49,17 +56,17 @@ from .model import (
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
-    compute_zone_meta,
     frame_decode,
     frame_encode,
     make_dense_chunk,
     make_sparse_chunk,
+    row_zones,
 )
 
 MAGIC = b"AQLC"
-FORMAT_VERSION = 2
-# Per stored column: width in bytes per cell, frame lo, payload length.
-_COLUMN_HEAD = struct.Struct("<BqQ")
+FORMAT_VERSION = 3
+# Magic, format version, layout, dimension count and attribute count.
+_PREFIX = struct.Struct("<4sHBBH")
 
 _LAYOUT_CODES = {DENSE: 0, SPARSE: 1}
 _LAYOUT_NAMES = {v: k for k, v in _LAYOUT_CODES.items()}
@@ -150,48 +157,46 @@ def _chunk_sparse(schema, data, tiles):
 # Chunk file format
 # ---------------------------------------------------------------------------
 
-def _pack_zone(kind, zone):
-    fmt = "<q" if kind == KIND_INT64 else "<d"
-    return struct.pack(fmt, zone[0]) + struct.pack(fmt, zone[1])
-
-
-def _unpack_zone(kind, buf, off):
-    fmt = "<q" if kind == KIND_INT64 else "<d"
-    lo = struct.unpack_from(fmt, buf, off)[0]
-    hi = struct.unpack_from(fmt, buf, off + 8)[0]
-    return (lo, hi), off + 16
+@functools.lru_cache(maxsize=64)
+def _file_head(schema: ArraySchema, layout: str):
+    """The struct of the head of a ``layout`` chunk file of ``schema``, and
+    the (name, kind) of each column the file stores, in file order."""
+    stored = [(d.name, KIND_INT64) for d in schema.dims] \
+        if layout == SPARSE else []
+    stored += [(a.name, a.kind) for a in schema.attrs]
+    fmt = _PREFIX.format + "qq" * len(schema.dims)
+    fmt += "".join("Bqq" if a.kind == KIND_INT64 else "Bdd"
+                   for a in schema.attrs)
+    fmt += ("Q" if layout == DENSE else "") + "Q" + "BqQ" * len(stored)
+    return struct.Struct(fmt), tuple(stored)
 
 
 def write_chunk(chunk: Chunk, schema: ArraySchema, locator) -> int:
     """Serialize one chunk to disk; returns the bytes written, which are
     also added to the current meter."""
-    parts = [MAGIC,
-             struct.pack("<HBBH", FORMAT_VERSION, _LAYOUT_CODES[chunk.layout],
-                         len(schema.dims), len(schema.attrs))]
+    head, stored = _file_head(schema, chunk.layout)
+    fields = [MAGIC, FORMAT_VERSION, _LAYOUT_CODES[chunk.layout],
+              len(schema.dims), len(schema.attrs)]
     for lo, hi in chunk.box.ranges():
-        parts.append(struct.pack("<qq", lo, hi))
+        fields += (lo, hi)
     for attr in schema.attrs:
-        zone = chunk.zone_meta[attr.name]
-        parts.append(struct.pack("<B", _KIND_CODES[attr.kind]))
-        parts.append(_pack_zone(attr.kind, zone))
+        fields += (_KIND_CODES[attr.kind], *chunk.zone_meta[attr.name])
+    payloads = []
     if chunk.layout == DENSE:
-        bitmap = np.packbits(chunk.validity).tobytes()
-        parts.append(struct.pack("<Q", len(bitmap)))
-        parts.append(bitmap)
-    parts.append(struct.pack("<Q", chunk.cell_count))
-    blocks = []
-    if chunk.layout == SPARSE:
-        blocks.extend((chunk.dim_columns[d.name], KIND_INT64)
-                      for d in schema.dims)
-    blocks.extend((chunk.columns[a.name], a.kind) for a in schema.attrs)
+        payloads.append(np.packbits(chunk.validity))
+        fields.append(payloads[0].nbytes)
+    fields.append(chunk.cell_count)
+    cols = chunk.columns if chunk.layout == DENSE \
+        else {**chunk.dim_columns, **chunk.columns}
+    for name, kind in stored:
+        lo, payload = frame_encode(cols[name]) if kind == KIND_INT64 \
+            else (0, np.ascontiguousarray(cols[name]))
+        fields += (payload.itemsize, lo, payload.nbytes)
+        payloads.append(payload)
     try:
         with open(locator, "wb") as f:
-            nbytes = f.write(b"".join(parts))
-            for col, kind in blocks:
-                lo, payload = frame_encode(col) if kind == KIND_INT64 \
-                    else (0, np.ascontiguousarray(col))
-                nbytes += f.write(_COLUMN_HEAD.pack(
-                    payload.itemsize, lo, payload.nbytes))
+            nbytes = f.write(head.pack(*fields))
+            for payload in payloads:
                 nbytes += f.write(payload)
     except OSError as exc:
         raise FormatError(f"cannot write chunk file {locator}: {exc}") from exc
@@ -199,25 +204,9 @@ def write_chunk(chunk: Chunk, schema: ArraySchema, locator) -> int:
     return nbytes
 
 
-class _CountingFile:
-    """File wrapper that tallies the bytes actually read."""
-
-    def __init__(self, f):
-        self._f = f
-        self.bytes_read = 0
-
-    def read(self, n):
-        buf = self._f.read(n)
-        self.bytes_read += len(buf)
-        return buf
-
-    def seek(self, off, whence=0):
-        self._f.seek(off, whence)
-
-
 def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
                box: Box | None = None) -> Chunk:
-    """Read a chunk file, materializing only the requested column blocks.
+    """Read a chunk file, materializing only the requested columns.
 
     ``columns`` may name attributes and (for dense chunks) dimensions;
     suppressed dimension columns cost zero extra bytes. ``None`` reads
@@ -237,15 +226,22 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
     because their cells need their coordinates. ``None`` reads the whole
     chunk.
 
-    Each column is stored with its width and frame ``lo`` (see the module
-    docstring); an int64 column is decoded exactly to int64, a float64 one
-    is returned as stored, and a band starts ``start * width`` bytes into
-    its column. A file of another format version raises ``FormatError``.
+    A read makes a fixed number of calls on one file descriptor, whatever
+    the schema's column count (see the module docstring for the layout):
+    one read of the whole head, one of the bitmap slice of a dense chunk,
+    and one of each wanted column's band, into its row of an array that
+    holds the wanted columns of its stored width and kind. Each such
+    array is clipped to the box at once; int64 ones are decoded exactly
+    into the rows of one int64 stack, each row with its frame ``lo``, and
+    float64 columns come back as stored. A clipped read takes its zones
+    with one min and one max over each kind's stack. Each returned
+    column is a contiguous row of its stack. A file of another format
+    version raises ``FormatError``.
 
-    ``bytes_read`` counts the bytes actually read: the header, the bitmap
-    slice, each column's head (width, frame and length), and each wanted
-    column's band. The read also adds one chunk and those bytes to the
-    current meter.
+    ``bytes_read`` counts the bytes actually read: the head (header, zones,
+    bitmap length, cell count and every column's head), the bitmap slice,
+    and each wanted column's band. The read also adds one chunk and those
+    bytes to the current meter.
     """
     if columns is not None:
         known = set(schema.dim_names) | set(schema.attr_names)
@@ -253,48 +249,69 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
             if c not in known:
                 raise SchemaError(f"unknown column {c!r} for array {schema.name}")
     try:
-        raw = open(locator, "rb")
+        fd = os.open(locator, os.O_RDONLY)
     except OSError as exc:
         raise FormatError(f"cannot open chunk file {locator}: {exc}") from exc
-    with raw:
-        f = _CountingFile(raw)
-        chunk = _read_chunk_body(f, schema, columns, chunk_id, locator, box)
-    chunk.bytes_read = f.bytes_read
-    record(chunks_read=1, bytes_read=f.bytes_read)
+    try:
+        chunk = _read_chunk_body(fd, schema, columns, chunk_id, locator, box)
+    except OSError as exc:
+        raise FormatError(f"cannot read chunk file {locator}: {exc}") from exc
+    finally:
+        os.close(fd)
+    record(chunks_read=1, bytes_read=chunk.bytes_read)
     return chunk
 
 
-def _read_exact(f, n, what, locator):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated chunk file {locator}: short read in {what}")
-    return buf
+def _read_rows(fd, members, n, width, start, dtype, locator):
+    """Cells [start, start + n) of each column of ``members`` ((name, frame
+    lo, offset) of columns stored at ``width``), one read per column, as
+    the rows of one array of ``dtype``."""
+    rows = np.empty((len(members), n), dtype)
+    size, skip = n * width, start * width
+    for row, (name, _, offset) in zip(rows, members):
+        if os.preadv(fd, [row], offset + skip) != size:
+            raise FormatError(
+                f"truncated column {name!r} in chunk file {locator}")
+    return rows
 
 
 def _band(chunk_box: Box, query_box: Box):
-    """The cells of ``query_box`` inside ``chunk_box``, the band of
-    ``chunk_box`` that holds them, and the row-major offset of the band's
-    first cell."""
+    """The cells of ``query_box`` inside ``chunk_box``; the extents of the
+    band of ``chunk_box`` that holds them and the row-major offset of the
+    band's first cell; and the slices of the band's grid that hold them,
+    or None for the whole band."""
     inter = box_intersect(chunk_box, query_box)
     if inter is None:
         raise DomainError(f"query box {query_box} misses chunk box {chunk_box}")
-    ranges = list(chunk_box.ranges())
-    for d, (lo, hi) in enumerate(inter.ranges()):
-        ranges[d] = (lo, hi)
-        if lo < hi:
-            break
-    band = Box.of(*ranges)
+    # The band takes the query's ranges up to and including the first
+    # dimension where it spans more than one value, and the chunk's after.
+    extents, inner = chunk_box.extents, inter.extents
+    k = next((d for d, e in enumerate(inner) if e > 1), len(inner) - 1)
+    band = inner[:k + 1] + extents[k + 1:]
     start = 0
-    for c, lo, extent in zip(band.lo, chunk_box.lo, chunk_box.extents):
-        start = start * extent + (c - lo)
-    return inter, band, start
+    for d, (c, lo, extent) in enumerate(zip(inter.lo, chunk_box.lo, extents)):
+        start = start * extent + (c - lo if d <= k else 0)
+    clip = None
+    if band != inner:
+        clip = tuple(slice(None) if d <= k else slice(l - c, h - c + 1)
+                     for d, (l, h, c) in enumerate(zip(inter.lo, inter.hi,
+                                                       chunk_box.lo)))
+    return inter, band, start, clip
 
 
-def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
-    head = _read_exact(f, 10, "header", locator)
-    if head[:4] != MAGIC:
+def _read_head(fd, schema, locator):
+    """The file's layout, its unpacked head, the head's size, the (name,
+    kind) of each stored column and the bytes read. The head is read in one
+    call when the file's layout is the schema's density."""
+    head, stored = _file_head(schema, schema.density)
+    buf = bytearray(head.size)
+    got = os.preadv(fd, [buf], 0)
+    if got < _PREFIX.size:
+        raise FormatError(f"truncated chunk file {locator}: short read in "
+                          f"header")
+    magic, version, layout_code, n_dims, n_attrs = _PREFIX.unpack_from(buf)
+    if magic != MAGIC:
         raise FormatError(f"bad magic in chunk file {locator}")
-    version, layout_code, n_dims, n_attrs = struct.unpack_from("<HBBH", head, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"chunk file {locator} has format version "
                           f"{version}; only version {FORMAT_VERSION} is read")
@@ -305,106 +322,141 @@ def _read_chunk_body(f, schema, columns, chunk_id, locator, query_box):
         raise FormatError(
             f"chunk file {locator} dim/attr counts do not match schema "
             f"{schema.name}")
-    bounds = _read_exact(f, 16 * n_dims, "box bounds", locator)
-    lo, hi = [], []
-    for d in range(n_dims):
-        l, h = struct.unpack_from("<qq", bounds, 16 * d)
-        lo.append(l)
-        hi.append(h)
-    box = Box(tuple(lo), tuple(hi))
+    if layout != schema.density:
+        head, stored = _file_head(schema, layout)
+        if head.size > len(buf):
+            tail = bytearray(head.size - len(buf))
+            got += os.preadv(fd, [tail], len(buf))
+            buf += tail
+    if got < head.size:
+        raise FormatError(f"truncated chunk file {locator}: short read in "
+                          f"head")
+    return layout, head.unpack_from(buf), head.size, stored, got
+
+
+def _read_chunk_body(fd, schema, columns, chunk_id, locator, query_box):
+    layout, fields, head_size, stored, nbytes = _read_head(fd, schema, locator)
+    nd = len(schema.dims)
+    box = Box(fields[5:5 + 2 * nd:2], fields[6:6 + 2 * nd:2])
+    i = 5 + 2 * nd
     zones = {}
-    zbuf = _read_exact(f, 17 * n_attrs, "zone metadata", locator)
-    off = 0
     for attr in schema.attrs:
-        kind_code = zbuf[off]
-        off += 1
-        if _KIND_NAMES.get(kind_code) != attr.kind:
+        if _KIND_NAMES.get(fields[i]) != attr.kind:
             raise FormatError(
                 f"attribute {attr.name!r} kind mismatch in {locator}")
-        zones[attr.name], off = _unpack_zone(attr.kind, zbuf, off)
-    # Cells [start, start + n) of every stored column are read; of a dense
-    # band, only the cells of ``inter`` are decoded.
-    inter, band, start = box, box, 0
-    validity = None
+        zones[attr.name] = fields[i + 1:i + 3]
+        i += 3
+    blen = 0
     if layout == DENSE:
-        if query_box is not None:
-            inter, band, start = _band(box, query_box)
-        n = band.volume
-        clip = tuple(slice(l - b, h - b + 1)
-                     for l, h, b in zip(inter.lo, inter.hi, band.lo))
-        (blen,) = struct.unpack(
-            "<Q", _read_exact(f, 8, "bitmap length", locator))
+        blen = fields[i]
+        i += 1
         if blen != (box.volume + 7) // 8:
             raise FormatError(
                 f"validity bitmap in {locator} has {blen} bytes for "
                 f"{box.volume} cells")
-        first, last = start // 8, (start + n - 1) // 8
-        f.seek(first, os.SEEK_CUR)
-        bitmap = _read_exact(f, last - first + 1, "validity bitmap", locator)
-        f.seek(blen - last - 1, os.SEEK_CUR)
-        bit0 = start % 8
-        validity = np.unpackbits(np.frombuffer(bitmap, dtype=np.uint8))[
-            bit0:bit0 + n].view(bool).reshape(band.extents)[clip].ravel()
-    (count,) = struct.unpack("<Q", _read_exact(f, 8, "cell count", locator))
+    count = fields[i]
     if layout == DENSE and count != box.volume:
         raise FormatError(
             f"chunk file {locator} holds {count} cells for a box of "
             f"{box.volume}")
 
-    if layout == SPARSE:
-        n = count
-        stored = [(d.name, KIND_INT64) for d in schema.dims]
-    else:
-        stored = []
-    stored += [(a.name, a.kind) for a in schema.attrs]
-
     wanted = None if columns is None else set(columns)
     if wanted is not None and layout == SPARSE:
         # Sparse cells are meaningless without their coordinates.
         wanted |= set(schema.dim_names)
-    read_cols = {}
-    for name, kind in stored:
-        width, lo, blen = _COLUMN_HEAD.unpack(_read_exact(
-            f, _COLUMN_HEAD.size, f"head of column {name!r}", locator))
-        if width not in FRAME_DTYPES or blen != count * width or \
+    # The wanted columns by kind and stored width: [(name, frame lo,
+    # offset)].
+    stacks = {KIND_INT64: {}, KIND_FLOAT64: {}}
+    offset = head_size + blen
+    heads = fields[i + 1:]
+    for (name, kind), width, lo, plen in zip(stored, heads[::3], heads[1::3],
+                                             heads[2::3]):
+        if plen != count * width or width not in FRAME_DTYPES or \
                 (kind == KIND_FLOAT64 and width != 8):
             raise FormatError(
-                f"column {name!r} in {locator} has {blen} bytes at width "
+                f"column {name!r} in {locator} has {plen} bytes at width "
                 f"{width}, expected {count} {kind} cells")
         if wanted is None or name in wanted:
-            f.seek(start * width, os.SEEK_CUR)
-            payload = f.read(n * width)
-            if len(payload) != n * width:
-                raise FormatError(
-                    f"truncated column {name!r} in chunk file {locator}")
-            f.seek(blen - (start + n) * width, os.SEEK_CUR)
-            cells = np.frombuffer(payload, FRAME_DTYPES[width]
-                                  if kind == KIND_INT64 else np.float64)
-            if layout == DENSE:
-                cells = cells.reshape(band.extents)[clip]
-            read_cols[name] = (frame_decode(lo, cells)
-                               if kind == KIND_INT64 else cells).ravel()
-        else:
-            f.seek(blen, os.SEEK_CUR)
+            stacks[kind].setdefault(width, []).append((name, lo, offset))
+        offset += plen
 
+    # Cells [start, start + n) of every wanted column are read; of a dense
+    # band, only the cells of ``inter`` are kept (``clip``).
+    inter, start, n, clip, validity = box, 0, count, None, None
+    if layout == DENSE:
+        if query_box is not None:
+            inter, extents, start, clip = _band(box, query_box)
+            n = math.prod(extents)
+        first, last = start // 8, (start + n - 1) // 8
+        bits = bytearray(last - first + 1)
+        if os.preadv(fd, [bits], head_size + first) != len(bits):
+            raise FormatError(f"truncated validity bitmap in chunk file "
+                              f"{locator}")
+        nbytes += len(bits)
+        bit0 = start % 8
+        validity = np.unpackbits(np.frombuffer(bits, np.uint8),
+                                 count=bit0 + n)[bit0:].view(bool)
+        if clip is not None:
+            validity = validity.reshape(extents)[clip].ravel()
+            clip = (slice(None),) + clip
+
+    clipped = inter != box
+    valid = validity if clipped and not validity.all() else None
+    m = n if validity is None else len(validity)  # cells kept per column
+    cols, meta = {}, {}
+    for kind, by_width in stacks.items():
+        members = [c for group in by_width.values() for c in group]
+        if not members:
+            continue
+        k = len(members)
+        nbytes += n * sum(w * len(group) for w, group in by_width.items())
+        if kind == KIND_FLOAT64:
+            stack = _read_rows(fd, members, n, 8, start, np.float64, locator)
+            if clip is not None:
+                # The clipped rows may be a view; each column is a
+                # contiguous row.
+                stack = np.ascontiguousarray(
+                    stack.reshape((k,) + extents)[clip].reshape(k, -1))
+        else:
+            # Each width's rows are read and clipped as one, and decoded
+            # into their rows of one int64 stack, each with its frame.
+            stack = np.empty((k, m), np.int64)
+            row = 0
+            for width, group in by_width.items():
+                j = len(group)
+                raw = _read_rows(fd, group, n, width, start,
+                                 FRAME_DTYPES[width], locator)
+                if clip is not None:
+                    raw = raw.reshape((j,) + extents)[clip]
+                lo = group[0][1] if j == 1 else np.array(
+                    [frame for _, frame, _ in group], np.int64).reshape(
+                    (j,) + (1,) * (raw.ndim - 1))
+                frame_decode(lo, raw,
+                             out=stack[row:row + j].reshape(raw.shape))
+                row += j
+        names = [name for name, _, _ in members]
+        cols.update(zip(names, stack))
+        if clipped:
+            meta.update(zip(names, row_zones(
+                stack if valid is None else stack[:, valid], kind)))
+        elif layout == SPARSE and kind == KIND_INT64:
+            # A sparse chunk's coordinate zones are not stored; the
+            # attributes' computed here give way to the stored ones below.
+            meta.update(zip(names, row_zones(stack, kind)))
+
+    read = [(name, cols[name]) for name, _ in stored if name in cols]
     dim_columns = None
     if layout == SPARSE:
-        dim_columns = {n: read_cols.pop(n) for n in schema.dim_names
-                       if n in read_cols}
-    attr_cols = {n: read_cols[n] for n in schema.attr_names if n in read_cols}
-    if inter != box:
-        meta = compute_zone_meta(schema, inter, DENSE, attr_cols, validity)
-        return Chunk(chunk_id, inter, layout, attr_cols, validity=validity,
-                     zone_meta=meta)
-    meta = {n: zones[n] for n in attr_cols}
-    for i, d in enumerate(schema.dims):
-        if dim_columns and d.name in dim_columns and len(dim_columns[d.name]):
-            meta[d.name] = (int(dim_columns[d.name].min()),
-                            int(dim_columns[d.name].max()))
-        else:
-            meta[d.name] = (box.lo[i], box.hi[i])
-    return Chunk(chunk_id, box, layout, attr_cols, validity=validity,
-                 dim_columns=dim_columns, zone_meta=meta)
+        dim_columns, read = dict(read[:nd]), read[nd:]
+    else:
+        meta.update(zip(schema.dim_names, inter.ranges()))
+    attr_cols = dict(read)
+    if not clipped:
+        meta.update((name, zones[name]) for name in attr_cols)
+    chunk = Chunk(chunk_id, inter, layout, attr_cols, validity=validity,
+                  dim_columns=dim_columns, zone_meta=meta)
+    chunk.bytes_read = nbytes
+    return chunk
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +595,16 @@ class Catalog:
                              for n in order if n in ref.zone_meta)
             lines.append(f"chunk {ref.chunk_id} "
                          f"{os.path.basename(ref.locator)} box={boxs} zones={zones}")
+        # Written beside the manifest and renamed over it, so that a write
+        # that fails partway leaves the old manifest in place.
         path = self.data_dir / name / "manifest.txt"
-        path.write_text("\n".join(lines) + "\n")
+        tmp = path.with_name("manifest.txt.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def load(self):
         """Load every array manifest found under the data directory."""

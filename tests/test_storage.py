@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,31 @@ class TestChunkFileFormat:
         assert np.array_equal(back.dim_columns["x"], [1, 2])
         assert back.cell_count == 2
 
+    def test_layout_other_than_schema_density(self, rng, tmp_path):
+        """A mixed array (``combine`` of a dense and a sparse one) keeps
+        each chunk in its own layout under one schema; a read follows the
+        file's layout. Where the schema's head is the shorter one, the rest
+        of the head is read by a second call; where it is the longer, the
+        first call reads past the head, and ``bytes_read`` counts that."""
+        schema = dense_schema()
+        as_sparse = ArraySchema("d", schema.dims, schema.attrs, "sparse")
+        dense = random_dense_chunk(rng)
+        sparse = make_sparse_chunk(as_sparse, schema.box,
+                                   {"x": [1, 9], "y": [0, 7]},
+                                   {"v": [3, -4], "f": [0.5, np.nan]})
+        for chunk, read_as, extra in ((dense, as_sparse, 17 * 2 - 8),
+                                      (sparse, schema, 0)):
+            path = str(tmp_path / f"{chunk.layout}.chk")
+            nbytes = write_chunk(chunk, read_as, path)
+            back = read_chunk(path, read_as)
+            assert back.layout == chunk.layout
+            assert back.bytes_read == nbytes + extra
+            assert back.zone_meta == chunk.zone_meta
+            for a in ("v", "f"):
+                assert np.array_equal(back.columns[a], chunk.columns[a],
+                                      equal_nan=True)
+        assert np.array_equal(back.dim_columns["x"], [1, 9])
+
     def test_unknown_column_rejected(self, rng, tmp_path):
         schema = dense_schema()
         path = tmp_path / "c.chk"
@@ -215,16 +241,16 @@ class TestChunkFileFormat:
             read_chunk(str(tmp_path / "missing.chk"), dense_schema())
 
 
-# Bytes of a dense_schema() chunk file before the bitmap (magic, version,
-# layout and counts; box bounds; kind and zone per attribute; bitmap length),
-# and the bitmap and cell count that follow.
-DENSE_PREFIX = 10 + 16 * 2 + 17 * 2 + 8
-DENSE_BITMAP = (10 * 8 + 7) // 8
 # Each stored column's head: width byte, frame lo and payload length. The
 # int64 ``v`` of random_dense_chunk spans at most 199, so it is stored in 1
 # byte per cell; the float64 ``f`` is stored raw in 8.
 COLUMN_HEAD = 1 + 8 + 8
 V_WIDTH = 1
+# The head of a dense_schema() chunk file (magic, version, layout and
+# counts; box bounds; kind and zone per attribute; bitmap length; cell
+# count; both column heads), and the bitmap that follows it.
+DENSE_HEAD = 10 + 16 * 2 + 17 * 2 + 8 + 8 + 2 * COLUMN_HEAD
+DENSE_BITMAP = (10 * 8 + 7) // 8
 
 
 @st.composite
@@ -292,24 +318,22 @@ class TestBoxedRead:
         path = str(tmp_path / "c.chk")
         write_chunk(chunk, schema, path)
         full = read_chunk(path, schema)
-        assert full.bytes_read == DENSE_PREFIX + DENSE_BITMAP + 8 + \
-            (COLUMN_HEAD + 80 * V_WIDTH) + (COLUMN_HEAD + 80 * 8)
+        assert full.bytes_read == DENSE_HEAD + DENSE_BITMAP + \
+            80 * V_WIDTH + 80 * 8
         # x spans more than one value, so the band read is rows x = 2..4
         # in full: cells 16..39, bitmap bytes 2..4. Only the box's 9 cells
         # are returned.
         band = read_chunk(path, schema, columns=["v"],
                           box=Box((2, 3), (4, 5)))
         assert band.box == Box((2, 3), (4, 5))
-        assert band.bytes_read == \
-            DENSE_PREFIX + 3 + 8 + 2 * COLUMN_HEAD + 24 * V_WIDTH
+        assert band.bytes_read == DENSE_HEAD + 3 + 24 * V_WIDTH
         assert np.array_equal(band.columns["v"],
                               chunk.columns["v"].reshape(10, 8)[2:5, 3:6]
                               .ravel())
         # One cell at offset 11: one bitmap byte, read from bit 3.
         one = read_chunk(path, schema, box=Box((1, 3), (1, 3)))
         assert one.box == Box((1, 3), (1, 3))
-        assert one.bytes_read == \
-            DENSE_PREFIX + 1 + 8 + 2 * COLUMN_HEAD + V_WIDTH + 8
+        assert one.bytes_read == DENSE_HEAD + 1 + V_WIDTH + 8
         assert one.validity.tolist() == [chunk.validity[11]]
         assert one.columns["f"].tolist() == [chunk.columns["f"][11]]
 
@@ -340,10 +364,10 @@ class TestBoxedRead:
         schema = dense_schema()
         path = tmp_path / "c.chk"
         write_chunk(random_dense_chunk(rng), schema, str(path))
-        # Column v's band (cells 16..39) starts after the bitmap, the cell
-        # count and v's head; cut the file 5 cells into it.
-        band_start = DENSE_PREFIX + DENSE_BITMAP + 8 + COLUMN_HEAD + \
-            16 * V_WIDTH
+        # Column v's payload follows the head and the bitmap, and its band
+        # (cells 16..39) starts 16 cells into it; cut the file 5 cells into
+        # the band.
+        band_start = DENSE_HEAD + DENSE_BITMAP + 16 * V_WIDTH
         path.write_bytes(path.read_bytes()[:band_start + 5 * V_WIDTH])
         with pytest.raises(FormatError):
             read_chunk(str(path), schema, box=Box((2, 3), (4, 5)))
@@ -445,6 +469,24 @@ def coded_dense_cases(draw):
     return schema, chunk, Box(qlo, qhi)
 
 
+def as_version_2(data: bytes, n_dims: int, n_attrs: int) -> bytes:
+    """A dense chunk file of this format rewritten in format version 2: the
+    same fields, with the bitmap after its length, then the cell count, then
+    each column's head in front of its payload."""
+    p = 10 + 16 * n_dims + 17 * n_attrs
+    blen = int.from_bytes(data[p:p + 8], "little")
+    heads = data[p + 16:p + 16 + COLUMN_HEAD * n_attrs]
+    pos = p + 16 + len(heads) + blen
+    out = [data[:4], (2).to_bytes(2, "little"), data[6:p + 8],
+           data[pos - blen:pos], data[p + 8:p + 16]]
+    for j in range(n_attrs):
+        head = heads[COLUMN_HEAD * j:COLUMN_HEAD * (j + 1)]
+        plen = int.from_bytes(head[9:], "little")
+        out += [head, data[pos:pos + plen]]
+        pos += plen
+    return b"".join(out)
+
+
 class TestFrameCodec:
     """Every int64 column is stored as value - lo at the narrowest width
     over all its stored cells, and read back exactly."""
@@ -525,10 +567,21 @@ class TestFrameCodec:
         path = tmp_path / "c.chk"
         write_chunk(random_dense_chunk(rng), schema, str(path))
         data = bytearray(path.read_bytes())
-        assert data[4:6] == (2).to_bytes(2, "little")
+        assert data[4:6] == (3).to_bytes(2, "little")
         data[4:6] = (1).to_bytes(2, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="format version 1"):
+            read_chunk(str(path), schema)
+
+    def test_version_2_rejected(self, rng, tmp_path):
+        schema = dense_schema()
+        path = tmp_path / "c.chk"
+        write_chunk(random_dense_chunk(rng), schema, str(path))
+        data = path.read_bytes()
+        old = as_version_2(data, 2, 2)
+        assert len(old) == len(data) and old != data
+        path.write_bytes(old)
+        with pytest.raises(FormatError, match="format version 2"):
             read_chunk(str(path), schema)
 
     def test_writes_reach_the_meter(self, rng, tmp_path):
@@ -540,6 +593,220 @@ class TestFrameCodec:
         assert meter.bytes_written == sum(sizes) == sum(
             (tmp_path / f"{i}.chk").stat().st_size for i in range(3))
         assert meter.bytes_read == meter.chunks_read == 0
+
+
+def band_of(box: Box, inter: Box):
+    """Oracle: the first cell and the cell count of the band that a read of
+    ``inter`` fetches from a dense chunk of ``box``: the cells that match
+    ``inter`` on every dimension up to and including the first where it
+    spans more than one value, and any value after it."""
+    grid = np.indices(box.extents).reshape(box.ndim, -1).T + box.lo
+    keep = np.ones(len(grid), dtype=bool)
+    for d, (lo, hi) in enumerate(inter.ranges()):
+        keep &= (grid[:, d] >= lo) & (grid[:, d] <= hi)
+        if lo < hi:
+            break
+    (cells,) = np.nonzero(keep)
+    assert cells[-1] - cells[0] + 1 == len(cells)
+    return int(cells[0]), len(cells)
+
+
+@st.composite
+def float_columns(draw, n):
+    """n float64 values with NaN and infinities, or only NaN."""
+    if draw(st.booleans()):
+        return np.full(n, np.nan)
+    return np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)),
+                    dtype=np.float64)
+
+
+@st.composite
+def stacked_cases(draw):
+    """A dense or sparse chunk of up to 6 attributes, int64 ones of mixed
+    stored widths and float64 ones, a query box, and a ``columns`` list."""
+    layout = draw(st.sampled_from(["dense", "sparse"]))
+    kinds = draw(st.lists(st.sampled_from(["int64", "float64"]), min_size=1,
+                          max_size=6))
+    attrs = tuple(AttributeSpec(f"a{i}", k) for i, k in enumerate(kinds))
+    ndim = draw(st.integers(1, 3))
+    if layout == "dense":
+        lo = [draw(st.integers(-4, 4)) for _ in range(ndim)]
+        hi = [l + draw(st.integers(0, 4)) for l in lo]
+        dims = tuple(DimensionSpec(f"d{i}", l, h)
+                     for i, (l, h) in enumerate(zip(lo, hi)))
+    else:
+        dims = tuple(DimensionSpec(f"d{i}", INT64_MIN, INT64_MAX)
+                     for i in range(ndim))
+    schema = ArraySchema("p", dims, attrs, layout)
+    box = schema.box
+    n = box.volume if layout == "dense" else draw(st.integers(1, 10))
+    values = {a.name: draw(int64_columns(n)) if a.kind == "int64"
+              else draw(float_columns(n)) for a in attrs}
+    if layout == "dense":
+        valid = draw(st.one_of(st.just([False] * n), st.just([True] * n),
+                               st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+        chunk = make_dense_chunk(schema, box, values, valid)
+        qlo, qhi = [], []
+        for l, h in box.ranges():
+            p = draw(st.integers(l, h))
+            qlo.append(p - draw(st.integers(0, 3)))
+            qhi.append(p + draw(st.integers(0, 3)))
+        query = draw(st.one_of(st.none(), st.just(Box(tuple(qlo),
+                                                      tuple(qhi)))))
+    else:
+        coords = {d.name: draw(int64_columns(n)) for d in dims}
+        chunk = make_sparse_chunk(schema, box, coords, values)
+        query = draw(st.one_of(st.none(), st.just(Box((0,) * ndim,
+                                                      (5,) * ndim))))
+    names = list(schema.dim_names + schema.attr_names)
+    columns = draw(st.one_of(st.none(), st.lists(st.sampled_from(names),
+                                                 unique=True)))
+    return schema, chunk, query, columns
+
+
+class TestStackedRead:
+    """A read returns what clipping the written chunk through
+    ``make_dense_chunk``/``make_sparse_chunk`` gives, and reads exactly the
+    head, the bitmap slice and the bands of the wanted columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=stacked_cases())
+    def test_matches_oracle(self, case):
+        schema, chunk, query, columns = case
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "c.chk")
+            write_chunk(chunk, schema, path)
+            got = read_chunk(path, schema, columns=columns, box=query)
+        attrs = [a for a in schema.attr_names
+                 if columns is None or a in columns]
+        width = {name: 8 if col.dtype == np.float64 else narrowest_width(col)
+                 for name, col in {**(chunk.dim_columns or {}),
+                                   **chunk.columns}.items()}
+        n_stored = len(schema.attrs)
+        if chunk.layout == "dense":
+            inter = chunk.box if query is None else \
+                box_intersect(chunk.box, query)
+            sl = tuple(slice(l - b, h - b + 1)
+                       for l, h, b in zip(inter.lo, inter.hi, chunk.box.lo))
+            grid = chunk.box.extents
+            want = make_dense_chunk(
+                schema, inter,
+                {a: chunk.columns[a].reshape(grid)[sl].ravel()
+                 for a in schema.attr_names},
+                chunk.validity.reshape(grid)[sl])
+            assert np.array_equal(got.validity, want.validity)
+            assert got.dim_columns is None
+            start, m = band_of(chunk.box, inter)
+            body = (start + m - 1) // 8 - start // 8 + 1 + \
+                sum(m * width[a] for a in attrs)
+            head = 8
+        else:
+            want = make_sparse_chunk(schema, chunk.box, chunk.dim_columns,
+                                     chunk.columns)
+            assert list(got.dim_columns) == list(schema.dim_names)
+            for name, col in got.dim_columns.items():
+                assert col.dtype == np.int64
+                assert np.array_equal(col, want.dim_columns[name])
+            n_stored += len(schema.dims)
+            body = sum(chunk.cell_count * width[c]
+                       for c in list(schema.dim_names) + attrs)
+            head = 0
+        assert got.box == want.box
+        assert list(got.columns) == attrs
+        for a in attrs:
+            col = got.columns[a]
+            assert col.dtype == want.columns[a].dtype
+            assert col.flags.c_contiguous
+            assert np.array_equal(col, want.columns[a], equal_nan=True)
+        assert set(got.zone_meta) == set(schema.dim_names) | set(attrs)
+        for name, zone in got.zone_meta.items():
+            assert zone == want.zone_meta[name]
+            assert [type(v) for v in zone] == \
+                [type(v) for v in want.zone_meta[name]]
+        head += 10 + 16 * len(schema.dims) + 17 * len(schema.attrs) + 8 + \
+            COLUMN_HEAD * n_stored
+        assert got.bytes_read == head + body
+
+
+def mixed_schema(n_attrs: int, density: str) -> ArraySchema:
+    """Attributes a0, a1, ...: int64 ones, then a float64 one every third."""
+    return ArraySchema("m", (DimensionSpec("x", 0, 9),
+                             DimensionSpec("y", 0, 7)),
+                       tuple(AttributeSpec(f"a{i}", "float64" if i % 3 == 2
+                                           else "int64")
+                             for i in range(n_attrs)), density)
+
+
+def mixed_chunk(rng, schema):
+    """A chunk of ``mixed_schema``; int64 columns spread over widths 1-8."""
+    box = schema.box
+    n = box.volume if schema.density == "dense" else 12
+    values = {a.name: rng.normal(size=n) if a.kind == "float64"
+              else rng.integers(0, 2 ** (8 * 2 ** (i % 4) - 2), n)
+              for i, a in enumerate(schema.attrs)}
+    if schema.density == "dense":
+        return make_dense_chunk(schema, box, values, rng.random(n) < 0.8)
+    return make_sparse_chunk(schema, box, {"x": rng.integers(0, 10, n),
+                                           "y": rng.integers(0, 8, n)},
+                             values)
+
+
+class TestReadCalls:
+    @pytest.mark.parametrize("density", ["dense", "sparse"])
+    @pytest.mark.parametrize("n_attrs", [1, 4, 11])
+    def test_one_read_per_part(self, rng, tmp_path, monkeypatch, density,
+                               n_attrs):
+        """One head read at offset 0, one bitmap read for a dense chunk and
+        one read per wanted stored column, whatever the attribute count."""
+        schema = mixed_schema(n_attrs, density)
+        path = str(tmp_path / "c.chk")
+        write_chunk(mixed_chunk(rng, schema), schema, path)
+        offsets, real = [], os.preadv
+
+        def counting(fd, buffers, offset):
+            offsets.append(offset)
+            return real(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counting)
+        names = schema.attr_names
+        for columns in (None, [], names[:1], names[-2:], ["x"]):
+            for box in (None, Box((2, 3), (4, 5)), Box((3, 0), (3, 7))):
+                offsets.clear()
+                read_chunk(path, schema, columns=columns, box=box)
+                wanted = len(names) if columns is None else \
+                    len(set(columns) & set(names))
+                if density == "dense":
+                    wanted += 1  # the bitmap
+                else:
+                    wanted += 2  # the coordinates
+                assert offsets[0] == 0
+                assert len(offsets) == 1 + wanted
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to count descriptors")
+    def test_failing_reads_leak_no_descriptor(self, rng, tmp_path):
+        schema = dense_schema()
+        good = tmp_path / "good.chk"
+        write_chunk(random_dense_chunk(rng), schema, str(good))
+        data = good.read_bytes()
+        damaged = {"half.chk": data[:len(data) // 2],
+                   "head.chk": data[:DENSE_HEAD - 1],
+                   "magic.chk": b"XXXX" + data[4:],
+                   "v2.chk": as_version_2(data, 2, 2)}
+        for name, content in damaged.items():
+            (tmp_path / name).write_bytes(content)
+        other = mixed_schema(2, "dense")
+        cases = [(str(tmp_path / name), schema, None) for name in damaged]
+        # A directory opens but fails its first read.
+        cases += [(str(good), other, None), (str(tmp_path), schema, None),
+                  (str(good), schema, Box((10, 0), (12, 7)))]
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(100):
+            path, s, box = cases[i % len(cases)]
+            with pytest.raises((FormatError, DomainError)):
+                read_chunk(path, s, box=box)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestPlacement:
@@ -642,6 +909,33 @@ class TestCatalog:
         manifest.write_text(text.replace("b=0:4", "b=0:x"))
         with pytest.raises(FormatError):
             Catalog(tmp_path).load()
+
+    def test_failed_manifest_write_keeps_the_old_one(self, rng, tmp_path,
+                                                    monkeypatch):
+        """A save that fails partway through writing a manifest leaves the
+        catalog loadable in its state before that save."""
+        cat = Catalog(tmp_path)
+        schema = self._populate(cat, rng)
+        cat.save()
+        cat.add_chunks("s", [make_sparse_chunk(
+            schema, Box((90, 0), (99, 99)), {"x": [91], "y": [5]},
+            {"v": [7]})])
+        real = Path.write_text
+
+        def half_then_fail(self, text, *args, **kwargs):
+            real(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+        with pytest.raises(OSError):
+            cat.save()
+        monkeypatch.undo()
+        back = Catalog(tmp_path)
+        back.load()
+        assert back.entry("s").schema == schema
+        assert back.entry("s").chunk_index == cat.entry("s").chunk_index[:6]
+        assert sorted(os.listdir(tmp_path / "s")) == sorted(
+            [f"{i}.chk" for i in range(7)] + ["manifest.txt"])
 
     def test_prune_matches_exhaustive_oracle(self, rng, tmp_path):
         cat = Catalog(tmp_path)
