@@ -38,6 +38,8 @@ from .model import (
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
+    cells_in_box,
+    clip_chunk,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -118,15 +120,12 @@ def gather_region(array: Array, box: Box, attrs=None):
                 cgrid = chunk.columns[a].reshape(cext)[src]
                 np.copyto(grids[a][dst], cgrid, where=vgrid)
         else:
-            batch = cell_batch(chunk, array.schema)
-            mask = np.ones(len(batch), dtype=bool)
-            for d, (lo, hi) in zip(array.schema.dim_names, box.ranges()):
-                mask &= (batch.coords[d] >= lo) & (batch.coords[d] <= hi)
-            idx = tuple(batch.coords[d][mask] - lo
-                        for d, lo in zip(array.schema.dim_names, box.lo))
+            coords = [chunk.dim_columns[d] for d in array.schema.dim_names]
+            mask = cells_in_box(coords, box)
+            idx = tuple(c[mask] - lo for c, lo in zip(coords, box.lo))
             valid[idx] = True
             for a in attrs:
-                grids[a][idx] = batch.columns[a][mask]
+                grids[a][idx] = chunk.columns[a][mask]
     return grids, valid
 
 
@@ -312,27 +311,6 @@ def shift(array: Array, offset) -> Array:
     return Array(schema, chunks)
 
 
-def _clip_dense_chunk(schema, chunk, inter: Box):
-    cext = chunk.box.extents
-    src = tuple(slice(l - b, h - b + 1)
-                for l, h, b in zip(inter.lo, inter.hi, chunk.box.lo))
-    validity = chunk.validity.reshape(cext)[src].ravel()
-    values = {a: chunk.columns[a].reshape(cext)[src].ravel()
-              for a in chunk.columns}
-    return make_dense_chunk(schema, inter, values, validity,
-                            chunk_id=chunk.chunk_id)
-
-
-def _clip_sparse_chunk(schema, chunk, inter: Box):
-    mask = np.ones(chunk.cell_count, dtype=bool)
-    for d, (lo, hi) in zip(schema.dim_names, inter.ranges()):
-        col = chunk.dim_columns[d]
-        mask &= (col >= lo) & (col <= hi)
-    dims = {d: chunk.dim_columns[d][mask] for d in schema.dim_names}
-    attrs = {a: chunk.columns[a][mask] for a in chunk.columns}
-    return make_sparse_chunk(schema, inter, dims, attrs, chunk_id=chunk.chunk_id)
-
-
 def _clipped_schema(schema: ArraySchema, new_box: Box) -> ArraySchema:
     dims = tuple(DimensionSpec(d.name, lo, hi)
                  for d, (lo, hi) in zip(schema.dims, new_box.ranges()))
@@ -361,8 +339,7 @@ def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
         if inter is None:
             continue
         if inter != c.box:
-            c = (_clip_dense_chunk if c.layout == DENSE
-                 else _clip_sparse_chunk)(schema, c, inter)
+            c = clip_chunk(schema, c, inter)
         if c.cell_count:
             chunks.append(c)
     return Array(schema, chunks)
@@ -370,19 +347,19 @@ def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
 
 def rebox_stored(catalog, name: str, new_box: Box, columns=None,
                  predicate: dict | None = None) -> Array:
-    """Range query against a stored array: prune by zone metadata, read
-    only intersecting chunks and columns. Of a dense chunk, the band of rows
-    that ``new_box`` covers is read and only its cells inside ``new_box``
-    are returned (``storage.read_chunk``), so nothing is clipped again."""
-    entry = catalog.entry(name)
-    chunk_ids = catalog.prune(name, new_box, predicate)
+    """``rebox`` of a stored array: prune by zone metadata and read only
+    the intersecting chunks and wanted columns. Each read returns chunk ∩
+    ``new_box`` (``storage.read_chunk``), so nothing is clipped again; a
+    sparse chunk left without cells is dropped."""
     chunks = [catalog.read(name, cid, columns=columns, box=new_box)
-              for cid in chunk_ids]
-    schema = entry.schema
+              for cid in catalog.prune(name, new_box, predicate)]
+    schema = catalog.entry(name).schema
     if columns is not None:
-        attrs = tuple(a for a in schema.attrs if a.name in set(columns))
-        schema = schema.with_attrs(attrs)
-    return rebox(Array(schema, chunks), new_box)
+        schema = schema.with_attrs(a for a in schema.attrs
+                                   if a.name in set(columns))
+    domain = box_intersect(schema.box, new_box) or new_box
+    return Array(_clipped_schema(schema, domain),
+                 [c for c in chunks if c.cell_count])
 
 
 def filter(array: Array, predicate: Predicate) -> Array:  # noqa: A001

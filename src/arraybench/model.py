@@ -358,3 +358,32 @@ def make_sparse_chunk(schema: ArraySchema, box: Box, dim_values: dict,
     meta = compute_zone_meta(schema, box, SPARSE, columns, dim_columns=dim_columns)
     return Chunk(chunk_id, box, SPARSE, columns, dim_columns=dim_columns,
                  zone_meta=meta)
+
+
+def cells_in_box(coords, box: Box) -> np.ndarray:
+    """Which cells lie inside ``box``, given one coordinate column per
+    dimension, in the box's dimension order."""
+    mask = np.ones(len(coords[0]), dtype=bool)
+    for col, lo, hi in zip(coords, box.lo, box.hi):
+        mask &= (col >= lo) & (col <= hi)
+    return mask
+
+
+def clip_chunk(schema: ArraySchema, chunk: Chunk, box: Box) -> Chunk:
+    """The part of ``chunk`` inside ``box``, a box within the chunk box: a
+    dense chunk's sub-grid, or a sparse chunk's cells inside ``box``. The
+    result's box is ``box``, its zones are computed over the kept cells,
+    and it keeps the chunk's id."""
+    if chunk.layout == DENSE:
+        extents = chunk.box.extents
+        sl = tuple(slice(l - c, h - c + 1)
+                   for l, h, c in zip(box.lo, box.hi, chunk.box.lo))
+        return make_dense_chunk(
+            schema, box,
+            {a: col.reshape(extents)[sl] for a, col in chunk.columns.items()},
+            chunk.validity.reshape(extents)[sl], chunk_id=chunk.chunk_id)
+    mask = cells_in_box([chunk.dim_columns[d] for d in schema.dim_names], box)
+    return make_sparse_chunk(
+        schema, box, {d: col[mask] for d, col in chunk.dim_columns.items()},
+        {a: col[mask] for a, col in chunk.columns.items()},
+        chunk_id=chunk.chunk_id)

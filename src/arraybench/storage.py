@@ -18,9 +18,12 @@ version 3, each column's head in front of its payload) are rejected with
 
 A read takes the whole head with one call, so its cost does not grow
 with the column count: then it reads the bitmap slice of a dense chunk
-and each requested column with one call each. For a dense chunk read
-with a query box only the band of rows that the box covers is read, and
-of that band only the cells inside the box are decoded and returned.
+and each requested column with one call each. A read with a query box
+returns chunk ∩ box for both layouts: of a dense chunk only the band of
+rows that the box covers is read, and of that band only the cells inside
+the box are decoded; a sparse chunk's columns are read whole, because
+its cells are found by their coordinates, and the cells inside the box
+are kept.
 Every read counts its chunk and bytes into the enclosing ``metered()``
 measurement, and every write its bytes, so I/O claims are testable.
 """
@@ -28,6 +31,7 @@ measurement, and every write its bytes, so I/O claims are testable.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -56,10 +60,10 @@ from .model import (
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
+    cells_in_box,
+    clip_chunk,
     frame_decode,
     frame_encode,
-    make_dense_chunk,
-    make_sparse_chunk,
     row_zones,
 )
 
@@ -87,25 +91,15 @@ def tile_box(box: Box, shape) -> list:
     if any(s <= 0 for s in shape):
         raise ConfigError(f"chunk shape {shape} has a zero extent")
     grids = [range(lo, hi + 1, s) for lo, hi, s in zip(box.lo, box.hi, shape)]
-    tiles = []
-
-    def rec(d, lo_acc):
-        if d == box.ndim:
-            lo = tuple(lo_acc)
-            hi = tuple(min(l + s - 1, h) for l, s, h in zip(lo, shape, box.hi))
-            tiles.append(Box(lo, hi))
-            return
-        for start in grids[d]:
-            rec(d + 1, lo_acc + [start])
-
-    rec(0, [])
-    return tiles
+    return [Box(lo, tuple(min(l + s - 1, h)
+                          for l, s, h in zip(lo, shape, box.hi)))
+            for lo in itertools.product(*grids)]
 
 
 def chunk_array(schema: ArraySchema, data: dict, chunk_shape,
                 box: Box | None = None) -> list:
     """Partition array data into regular chunks of ``chunk_shape`` (see
-    ``tile_box``).
+    ``tile_box``): one chunk over the whole box, clipped to each tile.
 
     Dense arrays: ``data`` holds one row-major column per attribute over
     ``box`` plus a ``"__valid__"`` bitmap. Sparse arrays: ``data`` holds
@@ -113,43 +107,21 @@ def chunk_array(schema: ArraySchema, data: dict, chunk_shape,
     dropped.
     """
     box = box if box is not None else schema.box
-    tiles = tile_box(box, chunk_shape)
+    columns = {a.name: np.asarray(data[a.name], dtype=a.dtype)
+               for a in schema.attrs}
     if schema.density == DENSE:
-        return _chunk_dense(schema, data, tiles, box)
-    return _chunk_sparse(schema, data, tiles)
-
-
-def _chunk_dense(schema, data, tiles, box):
-    extents = box.extents
-    validity = np.asarray(data.get("__valid__", np.ones(box.volume, bool)),
-                          dtype=bool).reshape(extents)
-    grids = {a.name: np.asarray(data[a.name], dtype=a.dtype).reshape(extents)
-             for a in schema.attrs}
+        whole = Chunk(0, box, DENSE, columns, validity=np.asarray(
+            data.get("__valid__", np.ones(box.volume, bool)), dtype=bool))
+    else:
+        whole = Chunk(0, box, SPARSE, columns, dim_columns={
+            d.name: np.asarray(data[d.name], dtype=np.int64)
+            for d in schema.dims})
     chunks = []
-    for i, tile in enumerate(tiles):
-        sl = tuple(slice(l - bl, h - bl + 1)
-                   for l, h, bl in zip(tile.lo, tile.hi, box.lo))
-        values = {name: g[sl].ravel() for name, g in grids.items()}
-        chunks.append(make_dense_chunk(schema, tile, values, validity[sl].ravel(),
-                                       chunk_id=i))
-    return chunks
-
-
-def _chunk_sparse(schema, data, tiles):
-    coords = [np.asarray(data[d.name], dtype=np.int64) for d in schema.dims]
-    n = len(coords[0])
-    chunks = []
-    for tile in tiles:
-        mask = np.ones(n, dtype=bool)
-        for c, lo, hi in zip(coords, tile.lo, tile.hi):
-            mask &= (c >= lo) & (c <= hi)
-        if not mask.any():
-            continue
-        dims = {d.name: c[mask] for d, c in zip(schema.dims, coords)}
-        attrs = {a.name: np.asarray(data[a.name], dtype=a.dtype)[mask]
-                 for a in schema.attrs}
-        chunks.append(make_sparse_chunk(schema, tile, dims, attrs,
-                                        chunk_id=len(chunks)))
+    for tile in tile_box(box, chunk_shape):
+        chunk = clip_chunk(schema, whole, tile)
+        if chunk.cell_count:
+            chunk.chunk_id = len(chunks)
+            chunks.append(chunk)
     return chunks
 
 
@@ -218,12 +190,13 @@ def read_chunk(locator, schema: ArraySchema, columns=None, chunk_id: int = 0,
     query's up to and including the first dimension where the query spans
     more than one value, and the chunk's after it. Only that band of each
     wanted column, and the bitmap bytes that hold its validity bits, are
-    read from disk; only the band's cells inside ``box`` are decoded. The
-    returned chunk covers chunk box ∩ ``box``, and the zones of the
-    attributes read are exact: the stored ones when that is the whole
-    chunk, otherwise computed over the decoded valid cells. A box that
-    misses the chunk raises ``DomainError``. Sparse chunks ignore ``box``,
-    because their cells need their coordinates. ``None`` reads the whole
+    read from disk; only the band's cells inside ``box`` are decoded. A
+    sparse chunk's cells need their coordinates, so its wanted columns are
+    read whole and only the cells inside ``box`` are kept. For both
+    layouts the returned chunk is chunk box ∩ ``box``, and the zones of
+    the columns read are exact: the stored ones when that is the whole
+    chunk, otherwise computed over the kept valid cells. A box that
+    misses the chunk raises ``DomainError``. ``None`` reads the whole
     chunk.
 
     A read makes a fixed number of calls on one file descriptor, whatever
@@ -275,15 +248,12 @@ def _read_rows(fd, members, n, width, start, dtype, locator):
     return rows
 
 
-def _band(chunk_box: Box, query_box: Box):
-    """The cells of ``query_box`` inside ``chunk_box``; the extents of the
-    band of ``chunk_box`` that holds them and the row-major offset of the
+def _band(chunk_box: Box, inter: Box):
+    """For ``inter``, a box within ``chunk_box``: the extents of the band
+    of ``chunk_box`` that holds its cells and the row-major offset of the
     band's first cell; and the slices of the band's grid that hold them,
     or None for the whole band."""
-    inter = box_intersect(chunk_box, query_box)
-    if inter is None:
-        raise DomainError(f"query box {query_box} misses chunk box {chunk_box}")
-    # The band takes the query's ranges up to and including the first
+    # The band takes ``inter``'s ranges up to and including the first
     # dimension where it spans more than one value, and the chunk's after.
     extents, inner = chunk_box.extents, inter.extents
     k = next((d for d, e in enumerate(inner) if e > 1), len(inner) - 1)
@@ -296,7 +266,7 @@ def _band(chunk_box: Box, query_box: Box):
         clip = tuple(slice(None) if d <= k else slice(l - c, h - c + 1)
                      for d, (l, h, c) in enumerate(zip(inter.lo, inter.hi,
                                                        chunk_box.lo)))
-    return inter, band, start, clip
+    return band, start, clip
 
 
 def _read_head(fd, schema, locator):
@@ -380,12 +350,18 @@ def _read_chunk_body(fd, schema, columns, chunk_id, locator, query_box):
             stacks[kind].setdefault(width, []).append((name, lo, offset))
         offset += plen
 
+    inter = box
+    if query_box is not None:
+        inter = box_intersect(box, query_box)
+        if inter is None:
+            raise DomainError(f"query box {query_box} misses chunk box {box}")
+    clipped = inter != box
     # Cells [start, start + n) of every wanted column are read; of a dense
     # band, only the cells of ``inter`` are kept (``clip``).
-    inter, start, n, clip, validity = box, 0, count, None, None
+    start, n, clip, validity = 0, count, None, None
     if layout == DENSE:
-        if query_box is not None:
-            inter, extents, start, clip = _band(box, query_box)
+        if clipped:
+            extents, start, clip = _band(box, inter)
             n = math.prod(extents)
         first, last = start // 8, (start + n - 1) // 8
         bits = bytearray(last - first + 1)
@@ -400,10 +376,8 @@ def _read_chunk_body(fd, schema, columns, chunk_id, locator, query_box):
             validity = validity.reshape(extents)[clip].ravel()
             clip = (slice(None),) + clip
 
-    clipped = inter != box
-    valid = validity if clipped and not validity.all() else None
     m = n if validity is None else len(validity)  # cells kept per column
-    cols, meta = {}, {}
+    parts = []  # (kind, names, stack) per kind read
     for kind, by_width in stacks.items():
         members = [c for group in by_width.values() for c in group]
         if not members:
@@ -434,7 +408,22 @@ def _read_chunk_body(fd, schema, columns, chunk_id, locator, query_box):
                 frame_decode(lo, raw,
                              out=stack[row:row + j].reshape(raw.shape))
                 row += j
-        names = [name for name, _, _ in members]
+        parts.append((kind, [name for name, _, _ in members], stack))
+
+    if clipped and layout == SPARSE:
+        # Sparse cells are kept by their coordinates, which every read
+        # holds.
+        rows = {name: row for _, names, stack in parts
+                for name, row in zip(names, stack)}
+        keep = cells_in_box([rows[d] for d in schema.dim_names], inter)
+        # ``compress`` keeps each row contiguous; ``stack[:, keep]`` may not.
+        parts = [(kind, names, np.compress(keep, stack, axis=1))
+                 for kind, names, stack in parts]
+    # A clipped dense chunk's zones cover its valid cells only.
+    valid = validity if clipped and layout == DENSE and not validity.all() \
+        else None
+    cols, meta = {}, {}
+    for kind, names, stack in parts:
         cols.update(zip(names, stack))
         if clipped:
             meta.update(zip(names, row_zones(
@@ -506,20 +495,13 @@ def prune(entry: CatalogEntry, query_box: Box | None = None,
     return out
 
 
-def _parse_zone(text: str, kind: str | None, path) -> tuple:
-    """A manifest zone ``lo:hi``, typed by its column's kind. A NaN bound,
-    which older catalogs wrote for float chunks holding a NaN, loads as the
-    unknown zone (-inf, inf), so pruning keeps the chunk."""
-    if kind is None:
-        raise FormatError(f"manifest {path} has a zone for an unknown column")
-    conv = int if kind == KIND_INT64 else float
-    try:
-        lo, hi = (conv(v) for v in text.split(":"))
-    except ValueError as exc:
-        raise FormatError(f"bad zone {text!r} in manifest {path}") from exc
+def _parse_zone(text: str, kind: str) -> tuple:
+    """A manifest zone ``lo:hi``, typed by its column's kind. A zone never
+    holds NaN, so a NaN bound raises ``ValueError``."""
+    lo, hi = map(int if kind == KIND_INT64 else float, text.split(":"))
     if lo != lo or hi != hi:
-        return (-np.inf, np.inf)
-    return (lo, hi)
+        raise ValueError(f"NaN bound in zone {text!r}")
+    return lo, hi
 
 
 class Catalog:
@@ -641,15 +623,11 @@ class Catalog:
                     attrs.append(AttributeSpec(tok[1], tok[2]))
                     kinds[tok[1]] = tok[2]
                 elif tok[0] == "chunk":
-                    # The id comes first and the file last; older catalogs
-                    # hold a worker id between them.
-                    pos = [t for t in tok[1:] if "=" not in t]
-                    cid, locator = int(pos[0]), str(path.parent / pos[-1])
+                    cid, locator = int(tok[1]), str(path.parent / tok[2])
                     if cid != len(refs):
                         raise FormatError(f"{path}: chunk {cid} where chunk "
                                           f"{len(refs)} was expected")
-                    fields = dict(t.split("=", 1) for t in tok[1:]
-                                  if "=" in t)
+                    fields = dict(t.split("=", 1) for t in tok[3:])
                     ranges = [tuple(int(v) for v in r.split(":"))
                               for r in fields["box"].split(",")]
                     zones = {}
@@ -657,8 +635,7 @@ class Catalog:
                         if not z:
                             continue
                         zname, zrange = z.split("=", 1)
-                        zones[zname] = _parse_zone(zrange, kinds.get(zname),
-                                                   path)
+                        zones[zname] = _parse_zone(zrange, kinds[zname])
                     refs.append(ChunkRef(cid, Box.of(*ranges), zones,
                                          locator))
         except (IndexError, KeyError, ValueError) as exc:

@@ -964,16 +964,13 @@ class Workload:
             if gid not in wanted:
                 continue
             ox, oy = origins[img]
-            # Tile in the image's local coordinates, clipped to the image.
-            lo_x, hi_x = cx - d6 - ox, cx + d6 - ox
-            lo_y, hi_y = cy - d6 - oy, cy + d6 - oy
-            lbox = box_intersect(
-                Box((img, lo_x, lo_y), (img, hi_x, hi_y)),
-                Box((img, 0, 0), (img, c.grid_extent - 1,
-                                  c.grid_extent - 1)))
-            if lbox is None:
+            # Tile in the image's local coordinates; the read clips it to
+            # the image.
+            tile = rebox_stored(self.catalog, "images", Box(
+                (img, cx - d6 - ox, cy - d6 - oy),
+                (img, cx + d6 - ox, cy + d6 - oy)))
+            if not tile.chunks:
                 continue
-            tile = rebox_stored(self.catalog, "images", lbox)
             # Address the tile globally, like the stored centers.
             tiles.append((gid, img, shift(tile, (0, ox, oy))))
         return tiles

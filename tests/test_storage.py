@@ -1,5 +1,6 @@
 """On-disk chunk format, chunking, pruning, and the catalog."""
 
+import itertools
 import os
 import tempfile
 from pathlib import Path
@@ -26,7 +27,13 @@ from arraybench import (
     tile_box,
     write_chunk,
 )
-from arraybench.model import box_intersect, compute_zone_meta
+from arraybench.model import (
+    EMPTY_ZONE_FLOAT,
+    EMPTY_ZONE_INT,
+    Chunk,
+    box_intersect,
+    compute_zone_meta,
+)
 from arraybench.errors import (
     CatalogError,
     ConfigError,
@@ -121,6 +128,65 @@ class TestChunking:
             chunk_array(schema, data, (0, 5))
         with pytest.raises(ConfigError):
             chunk_array(schema, data, (5,))
+
+    @pytest.mark.parametrize("density", ["dense", "sparse"])
+    @pytest.mark.parametrize("sub", [False, True])
+    def test_matches_naive_tiles(self, rng, density, sub):
+        """Each chunk holds its tile's cells in order, looked up one cell
+        at a time, with zones over its valid cells; sparse tiles without
+        cells are dropped and the ids stay consecutive."""
+        schema = ArraySchema("t", (DimensionSpec("x", -3, 10),
+                                   DimensionSpec("y", 0, 8)),
+                             (AttributeSpec("v", "int64"),
+                              AttributeSpec("f", "float64")), density)
+        box = Box((-1, 2), (9, 7)) if sub else schema.box
+        shape = (4, 3)
+        ranges = [range(lo, hi + 1) for lo, hi in box.ranges()]
+        if density == "dense":
+            cells = list(itertools.product(*ranges))
+            valid = rng.random(len(cells)) < 0.6
+            # One tile with no valid cell.
+            valid[[i for i, (x, y) in enumerate(cells)
+                   if x < box.lo[0] + 4 and y < box.lo[1] + 3]] = False
+            data = {"__valid__": valid}
+        else:
+            # Cells in the lower x half only, so whole tiles stay empty.
+            lower = [c for c in itertools.product(*ranges) if c[0] < 3]
+            cells = [lower[i] for i in rng.choice(len(lower), 15,
+                                                  replace=False)]
+            valid = np.ones(len(cells), dtype=bool)
+            data = {"x": [c[0] for c in cells], "y": [c[1] for c in cells]}
+        data["v"] = rng.integers(-50, 50, len(cells))
+        data["f"] = rng.normal(size=len(cells))
+        chunks = chunk_array(schema, data, shape, box=box if sub else None)
+
+        want = []
+        for tile in tile_box(box, shape):
+            inside = [i for i, cell in enumerate(cells)
+                      if all(lo <= c <= hi
+                             for c, lo, hi in zip(cell, tile.lo, tile.hi))]
+            if inside or density == "dense":
+                want.append((tile, inside))
+        assert density == "dense" or len(want) < len(tile_box(box, shape))
+        assert [c.box for c in chunks] == [tile for tile, _ in want]
+        assert [c.chunk_id for c in chunks] == list(range(len(want)))
+        for chunk, (tile, inside) in zip(chunks, want):
+            assert chunk.layout == density
+            if density == "dense":
+                assert chunk.validity.tolist() == valid[inside].tolist()
+                zones = dict(zip(("x", "y"), tile.ranges()))
+            else:
+                for d, col in chunk.dim_columns.items():
+                    assert col.tolist() == [cells[i][d == "y"]
+                                            for i in inside]
+                zones = {d: (min(cells[i][k] for i in inside),
+                             max(cells[i][k] for i in inside))
+                         for k, d in enumerate(("x", "y"))}
+            for a, empty in (("v", EMPTY_ZONE_INT), ("f", EMPTY_ZONE_FLOAT)):
+                assert chunk.columns[a].tolist() == data[a][inside].tolist()
+                kept = [data[a][i] for i in inside if valid[i]]
+                zones[a] = (min(kept), max(kept)) if kept else empty
+            assert chunk.zone_meta == zones
 
 
 class TestChunkFileFormat:
@@ -344,21 +410,37 @@ class TestBoxedRead:
         with pytest.raises(DomainError):
             read_chunk(path, schema, box=Box((10, 0), (12, 7)))
 
-    def test_sparse_chunk_ignores_box(self, rng, tmp_path):
+    def test_sparse_chunk_clipped_to_box(self, rng, tmp_path):
+        """A sparse read returns chunk ∩ box, with zones over the kept
+        cells; every coordinate is still read to find them."""
         schema = sparse_schema()
         chunk = make_sparse_chunk(schema, schema.box,
-                                  {"x": rng.integers(0, 100, 30),
-                                   "y": rng.integers(0, 100, 30)},
+                                  {"x": rng.integers(0, 20, 30),
+                                   "y": rng.integers(0, 20, 30)},
                                   {"v": rng.integers(-5, 5, 30)})
         path = str(tmp_path / "c.chk")
         write_chunk(chunk, schema, path)
         full = read_chunk(path, schema)
-        boxed = read_chunk(path, schema, box=Box((0, 0), (5, 5)))
+        query = Box((-5, 3), (8, 9))
+        boxed = read_chunk(path, schema, box=query)
         assert boxed.bytes_read == full.bytes_read
-        assert boxed.box == full.box
-        for d in ("x", "y"):
-            assert np.array_equal(boxed.dim_columns[d], chunk.dim_columns[d])
-        assert np.array_equal(boxed.columns["v"], chunk.columns["v"])
+        assert boxed.box == Box((0, 3), (8, 9))
+        xs, ys = chunk.dim_columns["x"], chunk.dim_columns["y"]
+        keep = (xs <= 8) & (ys >= 3) & (ys <= 9)
+        assert 0 < keep.sum() < 30
+        assert np.array_equal(boxed.dim_columns["x"], xs[keep])
+        assert np.array_equal(boxed.dim_columns["y"], ys[keep])
+        assert np.array_equal(boxed.columns["v"], chunk.columns["v"][keep])
+        vs = chunk.columns["v"][keep]
+        assert boxed.zone_meta == {
+            "x": (xs[keep].min(), xs[keep].max()),
+            "y": (ys[keep].min(), ys[keep].max()),
+            "v": (vs.min(), vs.max())}
+        # A box inside the chunk box that holds no cell.
+        empty = read_chunk(path, schema, box=Box((50, 50), (60, 60)))
+        assert empty.box == Box((50, 50), (60, 60))
+        assert empty.cell_count == 0
+        assert empty.bytes_read == full.bytes_read
 
     def test_truncated_inside_band_rejected(self, rng, tmp_path):
         schema = dense_schema()
@@ -375,7 +457,7 @@ class TestBoxedRead:
     def test_rebox_stored_decodes_only_the_box(self, rng, tmp_path,
                                               monkeypatch):
         """Each dense chunk comes back from the read already clipped to
-        the query, with exact zones, so ``rebox`` copies nothing."""
+        the query, with exact zones, so nothing is clipped after it."""
         arr, grids, valid = make_dense_2d(rng, 16, 12, chunk_shape=(5, 5))
         cat = Catalog(tmp_path)
         cat.create_array(arr.schema)
@@ -384,7 +466,7 @@ class TestBoxedRead:
         def no_clip(*args):
             raise AssertionError("a dense chunk was clipped after the read")
 
-        monkeypatch.setattr("arraybench.algebra._clip_dense_chunk", no_clip)
+        monkeypatch.setattr("arraybench.algebra.clip_chunk", no_clip)
         for query in (Box((3, 2), (12, 8)), Box((7, 0), (7, 11)),
                       Box((0, 0), (15, 11)), Box((-3, 4), (4, 40))):
             out = rebox_stored(cat, "a", query)
@@ -655,7 +737,11 @@ def stacked_cases(draw):
         query = draw(st.one_of(st.none(), st.just(Box(tuple(qlo),
                                                       tuple(qhi)))))
     else:
-        coords = {d.name: draw(int64_columns(n)) for d in dims}
+        # Coordinates near the query box too, so that it keeps some cells.
+        near = st.lists(st.integers(-3, 8), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64))
+        coords = {d.name: draw(st.one_of(int64_columns(n), near))
+                  for d in dims}
         chunk = make_sparse_chunk(schema, box, coords, values)
         query = draw(st.one_of(st.none(), st.just(Box((0,) * ndim,
                                                       (5,) * ndim))))
@@ -702,8 +788,16 @@ class TestStackedRead:
                 sum(m * width[a] for a in attrs)
             head = 8
         else:
-            want = make_sparse_chunk(schema, chunk.box, chunk.dim_columns,
-                                     chunk.columns)
+            inter = chunk.box if query is None else \
+                box_intersect(chunk.box, query)
+            keep = np.ones(chunk.cell_count, dtype=bool)
+            for d, (lo, hi) in zip(schema.dim_names, inter.ranges()):
+                keep &= (chunk.dim_columns[d] >= lo) & \
+                    (chunk.dim_columns[d] <= hi)
+            want = make_sparse_chunk(
+                schema, inter,
+                {d: col[keep] for d, col in chunk.dim_columns.items()},
+                {a: col[keep] for a, col in chunk.columns.items()})
             assert list(got.dim_columns) == list(schema.dim_names)
             for name, col in got.dim_columns.items():
                 assert col.dtype == np.int64
@@ -727,6 +821,103 @@ class TestStackedRead:
         head += 10 + 16 * len(schema.dims) + 17 * len(schema.attrs) + 8 + \
             COLUMN_HEAD * n_stored
         assert got.bytes_read == head + body
+
+
+@st.composite
+def stored_cases(draw):
+    """A dense or sparse array of up to 3 dimensions as ``chunk_array``
+    takes it, a chunk shape, a query box inside, straddling or outside its
+    domain, a ``columns`` list and a predicate."""
+    density = draw(st.sampled_from(["dense", "sparse"]))
+    ndim = draw(st.integers(1, 3))
+    dims = tuple(DimensionSpec(f"d{i}", lo, lo + draw(st.integers(0, 7)))
+                 for i, lo in enumerate(draw(st.lists(
+                     st.integers(-4, 4), min_size=ndim, max_size=ndim))))
+    schema = ArraySchema("r", dims, (AttributeSpec("a0", "int64"),
+                                     AttributeSpec("a1", "float64")),
+                         density)
+    extents = schema.box.extents
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if density == "dense":
+        n = schema.box.volume
+        data = {"__valid__": rng.random(n) < draw(st.sampled_from(
+            [0.0, 0.5, 1.0]))}
+    else:
+        n = draw(st.integers(0, schema.box.volume))
+        flat = rng.choice(schema.box.volume, n, replace=False)
+        data = {d.name: c + d.lo
+                for d, c in zip(dims, np.unravel_index(flat, extents))}
+    data["a0"] = rng.integers(-20, 21, n)
+    data["a1"] = np.where(rng.random(n) < 0.1, np.nan, rng.normal(size=n))
+    shape = tuple(draw(st.integers(1, 4)) for _ in dims)
+    lo = tuple(draw(st.integers(d.lo - 4, d.hi + 4)) for d in dims)
+    query = Box(lo, tuple(l + draw(st.integers(0, 8)) for l in lo))
+    columns = draw(st.sampled_from([None, [], ["a0"], ["a1", "a0"]]))
+    predicate = draw(st.one_of(st.none(), st.tuples(
+        st.integers(-25, 20), st.integers(0, 10)).map(
+        lambda r: {"a0": (r[0], r[0] + r[1])})))
+    return schema, data, shape, query, columns, predicate
+
+
+class TestReboxStoredOracle:
+    """``rebox_stored`` equals ``rebox`` over an in-memory copy of the
+    stored array, and returns the chunks its reads returned."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=stored_cases())
+    def test_matches_rebox_in_memory(self, case):
+        schema, data, shape, query, columns, predicate = case
+        arr = Array(schema, chunk_array(schema, data, shape))
+        with tempfile.TemporaryDirectory() as d:
+            cat = Catalog(d)
+            cat.create_array(schema)
+            cat.add_chunks("r", arr.chunks)
+            reads, read = [], cat.read
+
+            def recording(*args, **kwargs):
+                reads.append(read(*args, **kwargs))
+                return reads[-1]
+
+            cat.read = recording
+            got = rebox_stored(cat, "r", query, columns=columns,
+                               predicate=predicate)
+        # The oracle: the chunks whose zones meet the predicate, holding
+        # the wanted attributes, clipped by ``rebox``.
+        names = [a for a in schema.attr_names
+                 if columns is None or a in columns]
+        kept = []
+        for c in arr.chunks:
+            if any(c.zone_meta[a][0] > hi or c.zone_meta[a][1] < lo
+                   for a, (lo, hi) in (predicate or {}).items()):
+                continue
+            kept.append(Chunk(
+                c.chunk_id, c.box, c.layout,
+                {a: c.columns[a] for a in names}, validity=c.validity,
+                dim_columns=c.dim_columns,
+                zone_meta={k: z for k, z in c.zone_meta.items()
+                           if k in schema.dim_names or k in names}))
+        want = rebox(Array(schema.with_attrs(
+            a for a in schema.attrs if a.name in names), kept), query)
+        assert got.schema == want.schema
+        assert [c.box for c in got.chunks] == [c.box for c in want.chunks]
+        for g, w in zip(got.chunks, want.chunks):
+            assert g.chunk_id == w.chunk_id
+            if schema.density == "dense":
+                assert np.array_equal(g.validity, w.validity)
+            else:
+                for dim in schema.dim_names:
+                    assert np.array_equal(g.dim_columns[dim],
+                                          w.dim_columns[dim])
+            assert list(g.columns) == names
+            for a in names:
+                assert np.array_equal(g.columns[a], w.columns[a],
+                                      equal_nan=True)
+            assert g.zone_meta == w.zone_meta
+        # Each chunk of the result is the one its read returned, so none
+        # was clipped twice.
+        returned = [c for c in reads if c.cell_count]
+        assert len(got.chunks) == len(returned)
+        assert all(g is r for g, r in zip(got.chunks, returned))
 
 
 def mixed_schema(n_attrs: int, density: str) -> ArraySchema:
@@ -852,35 +1043,23 @@ class TestCatalog:
         c2 = cat2.read("s", 2)
         assert np.array_equal(c1.columns["v"], c2.columns["v"])
 
-    def test_manifest_with_worker_column_loads(self, rng, tmp_path):
-        """Catalogs written when chunk lines carried a worker id after the
-        chunk id load with the same refs, pruning and reads."""
+    def test_manifest_with_worker_column_rejected(self, rng, tmp_path):
+        """A chunk line with a token between the chunk id and the file
+        name, as catalogs with version-1 chunk files held, raises
+        ``FormatError`` naming the manifest and the line."""
         cat = Catalog(tmp_path)
         self._populate(cat, rng)
         cat.save()
         manifest = tmp_path / "s" / "manifest.txt"
         lines = manifest.read_text().splitlines()
-        old = []
-        for line in lines:
-            tok = line.split(" ")
-            if tok[0] == "chunk":
-                tok.insert(2, str(int(tok[1]) % 3))
-            old.append(" ".join(tok))
-        assert old != lines
-        manifest.write_text("\n".join(old) + "\n")
-        cat2 = Catalog(tmp_path)
-        cat2.load()
-        assert cat2.entry("s") == cat.entry("s")
-        box = Box((10, 0), (40, 50))
-        assert cat2.prune("s", box, {"v": (10, 24)}) == \
-            cat.prune("s", box, {"v": (10, 24)}) == [1, 2]
-        for ref in cat.entry("s").chunk_index:
-            c1, c2 = cat.read("s", ref.chunk_id), cat2.read("s", ref.chunk_id)
-            assert c1.bytes_read == c2.bytes_read
-            for name in ("x", "y"):
-                assert np.array_equal(c1.dim_columns[name],
-                                      c2.dim_columns[name])
-            assert np.array_equal(c1.columns["v"], c2.columns["v"])
+        lineno = next(i for i, line in enumerate(lines, 1)
+                      if line.startswith("chunk "))
+        tok = lines[lineno - 1].split(" ")
+        tok.insert(2, "0")
+        lines[lineno - 1] = " ".join(tok)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"manifest.txt:{lineno}:"):
+            Catalog(tmp_path).load()
 
     def test_manifest_zones_typed_from_schema(self, tmp_path):
         schema = ArraySchema("f", (DimensionSpec("x", 0, 9),),
@@ -895,19 +1074,25 @@ class TestCatalog:
         manifest = tmp_path / "f" / "manifest.txt"
         text = manifest.read_text()
         assert "a=0.0:4.0" in text
-        # A catalog written when a chunk holding a NaN got a NaN zone.
-        manifest.write_text(text.replace("a=0.0:4.0", "a=nan:nan"))
         cat2 = Catalog(tmp_path)
         cat2.load()
         first, second = (r.zone_meta for r in cat2.entry("f").chunk_index)
-        assert first["a"] == (-np.inf, np.inf)
+        assert first["a"] == (0.0, 4.0)
         assert second["a"] == (5.0, 9.0)
         assert type(second["a"][0]) is float
         assert first["b"] == (0, 4) and type(first["b"][0]) is int
         assert first["x"] == (0, 4) and type(first["x"][0]) is int
         assert cat2.prune("f", predicate={"a": (1.0, 2.0)}) == [0]
+        # A NaN bound, as catalogs with version-1 chunk files held for a
+        # chunk holding a NaN, names the manifest and the line.
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                      if "a=0.0:4.0" in line)
+        for bad in ("a=nan:nan", "a=0.0:nan"):
+            manifest.write_text(text.replace("a=0.0:4.0", bad))
+            with pytest.raises(FormatError, match=f"manifest.txt:{lineno}:"):
+                Catalog(tmp_path).load()
         manifest.write_text(text.replace("b=0:4", "b=0:x"))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=f"manifest.txt:{lineno}:"):
             Catalog(tmp_path).load()
 
     def test_failed_manifest_write_keeps_the_old_one(self, rng, tmp_path,
