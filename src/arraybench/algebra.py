@@ -289,10 +289,8 @@ def shift(array: Array, offset) -> Array:
     offset; metadata-only on dense chunks."""
     if len(offset) != len(array.schema.dims):
         raise DomainError("shift offset dimensionality mismatch")
-    dims = tuple(DimensionSpec(d.name, d.lo + int(o), d.hi + int(o))
-                 for d, o in zip(array.schema.dims, offset))
-    schema = ArraySchema(array.schema.name, dims, array.schema.attrs,
-                         array.schema.density)
+    schema = _clipped_schema(array.schema,
+                             array.schema.box.translate(offset))
     chunks = []
     for c in array.chunks:
         box = c.box.translate(offset)
@@ -314,7 +312,9 @@ def shift(array: Array, offset) -> Array:
 def _clipped_schema(schema: ArraySchema, new_box: Box) -> ArraySchema:
     dims = tuple(DimensionSpec(d.name, lo, hi)
                  for d, (lo, hi) in zip(schema.dims, new_box.ranges()))
-    return ArraySchema(schema.name, dims, schema.attrs, schema.density)
+    out = ArraySchema(schema.name, dims, schema.attrs, schema.density)
+    out.__dict__["box"] = new_box   # the cached ``box``: dims span it
+    return out
 
 
 def rebox(array: Array, new_box: Box, mode: str = "clip") -> Array:
@@ -354,10 +354,10 @@ def rebox_stored(catalog, name: str, new_box: Box, columns=None,
     chunks = [catalog.read(name, cid, columns=columns, box=new_box)
               for cid in catalog.prune(name, new_box, predicate)]
     schema = catalog.entry(name).schema
+    domain = box_intersect(schema.box, new_box) or new_box
     if columns is not None:
         schema = schema.with_attrs(a for a in schema.attrs
                                    if a.name in set(columns))
-    domain = box_intersect(schema.box, new_box) or new_box
     return Array(_clipped_schema(schema, domain),
                  [c for c in chunks if c.cell_count])
 

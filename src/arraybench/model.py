@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -147,11 +147,12 @@ class Box:
     def translate(self, offset) -> "Box":
         if len(offset) != self.ndim:
             raise DomainError("offset dimensionality mismatch")
-        lo = tuple(l + int(d) for l, d in zip(self.lo, offset))
-        hi = tuple(h + int(d) for h, d in zip(self.hi, offset))
-        for v in lo + hi:
-            if not (INT64_MIN < v < INT64_MAX):
-                raise DomainError("index arithmetic overflow in translate")
+        offset = tuple(map(int, offset))
+        lo = tuple(map(operator.add, self.lo, offset))
+        hi = tuple(map(operator.add, self.hi, offset))
+        # lo <= hi in every dimension, so these two bound every value.
+        if min(lo) <= INT64_MIN or max(hi) >= INT64_MAX:
+            raise DomainError("index arithmetic overflow in translate")
         return Box(lo, hi)
 
     def ranges(self):
@@ -194,15 +195,16 @@ class ArraySchema:
         if self.density not in (DENSE, SPARSE):
             raise SchemaError(f"array {self.name}: bad density {self.density!r}")
 
-    @property
+    # Cached in the instance ``__dict__``, which a frozen dataclass allows.
+    @cached_property
     def box(self) -> Box:
         return Box(tuple(d.lo for d in self.dims), tuple(d.hi for d in self.dims))
 
-    @property
+    @cached_property
     def dim_names(self) -> tuple:
         return tuple(d.name for d in self.dims)
 
-    @property
+    @cached_property
     def attr_names(self) -> tuple:
         return tuple(a.name for a in self.attrs)
 

@@ -1,22 +1,13 @@
 """Scientific image benchmark workload: generation, cooking, grouping, Q1-Q9.
 
-The workload simulates a telescope pipeline over a catalog of stored arrays:
-
-* ``images``       dense 3-D (img_id, x, y), 11 int64 attributes, local coords
-* ``image_origin`` dense 1-D (img_id) -> global origin of each image
-* ``obs``          sparse 3-D (img_id, x, y) -> obs_id, local coords
-* ``obs_center``   sparse 3-D (img_id, x, y) -> obs_id + per-attribute
-                   averages o1..o11, global coords
-* ``group_center`` sparse 3-D (cycle, x, y) -> group_id, one chunk per cycle
-* ``group_center_img`` sparse 4-D (cycle, img_id, x, y) -> group_id,
-                   one chunk per image
-* ``obs_group``    sparse 2-D (cycle, obs_id) -> group_id of every
-                   observation, one chunk per cycle
-
-Every derived array is tiled by ``storage.chunk_array`` (one tile per
-image, cycle or (cycle, image); a tile without cells has no chunk) and read
-back through ``rebox_stored``, so each phase and query works from the
-catalog alone, in a fresh process too.
+The workload simulates a telescope pipeline over the stored arrays of
+``_stored_arrays``: raw images and the cells of their observations in
+each image's local coordinates, and the centers of observations and
+groups in global ones (``image_origin`` holds each image's origin). Every
+array is tiled by ``storage.chunk_array`` (a derived one with one tile
+per image, cycle or (cycle, image); a tile without cells has no chunk)
+and read back through ``rebox_stored``, so each phase and query works
+from the catalog alone, in a fresh process too.
 
 Cooking extracts observations: 8-connected components of cells whose v1
 clears a threshold, labeled by the minimum global cell id (one-pass
@@ -30,8 +21,11 @@ cycle, with an attachment radius that widens linearly with the time gap.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+import operator
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
@@ -51,7 +45,9 @@ from .errors import ConfigError, DependencyError, CatalogError
 from .gla import GLA, AggregationTree, _round_robin, run_gla_chunks
 from .meter import metered
 from .model import (
+    DENSE,
     INT64_MAX,
+    SPARSE,
     ArraySchema,
     AttributeSpec,
     Box,
@@ -59,6 +55,7 @@ from .model import (
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
+    cells_in_box,
 )
 from .storage import Catalog, chunk_array
 
@@ -116,14 +113,12 @@ class BenchConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BenchConfig":
-        base = cls()
-        kwargs = {}
-        for key, raw in mapping.items():
-            if not hasattr(base, key):
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key in mapping:
+            if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
-            cur = getattr(base, key)
-            kwargs[key] = type(cur)(raw)
-        return cls(**kwargs)
+        return cls(**{key: type(defaults[key])(raw)
+                      for key, raw in mapping.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +153,6 @@ class ObservationGroup:
     members: list = field(default_factory=list)     # obs ids, in attach order
     per_img_centers: dict = field(default_factory=dict)  # img -> (x, y) global
     center: tuple = (0.0, 0.0)                       # global centroid
-
-    @property
-    def bbox(self) -> Box:
-        xs = [c[0] for c in self.per_img_centers.values()]
-        ys = [c[1] for c in self.per_img_centers.values()]
-        return Box((int(min(xs)), int(min(ys))),
-                   (int(max(xs)), int(max(ys))))
 
 
 # ---------------------------------------------------------------------------
@@ -459,25 +447,82 @@ def group_cycle(cycle: int, centers_by_img: dict, rho: float, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-_V_ATTRS = tuple(AttributeSpec(f"v{k}", KIND_INT64)
-                 for k in range(1, N_VALUES + 1))
-_O_ATTRS = tuple(AttributeSpec(f"o{k}", KIND_FLOAT64)
-                 for k in range(1, N_VALUES + 1))
+# One array of the benchmark: the phase that writes it, its schema, and
+# the tile shape ``chunk_array`` cuts it into.
+_StoredArray = namedtuple("_StoredArray", "phase schema tile")
 
 
-# The arrays each phase writes, in phase order. A phase reads the arrays of
-# the phases before it, so everything a phase writes is derived from them.
-PHASE_ARRAYS = {
-    "load": ("images", "image_origin"),
-    "cook": ("obs", "obs_center"),
-    "group": ("group_center", "group_center_img", "obs_group"),
-}
+def _stored_arrays(c: BenchConfig) -> dict:
+    """Name -> ``_StoredArray`` of every array the benchmark stores, in
+    phase order; each dimension spans [0, extent - 1]. A phase reads the
+    arrays of the phases before it, so everything a phase writes is
+    derived from them."""
+    n, g, dom, side = c.n_images, c.grid_extent, c.domain_extent, c.chunk_side
+    n_obs = n * g * g   # observation ids are global cell ids
+    img, cycle, obs = ("img_id", n), ("cycle", c.n_cycles), ("obs_id", n_obs)
+    local, world = (("x", g), ("y", g)), (("x", dom), ("y", dom))
+
+    def ints(*names):
+        return tuple(AttributeSpec(name, KIND_INT64) for name in names)
+    values = ints(*(f"v{k}" for k in range(1, N_VALUES + 1)))
+    means = tuple(AttributeSpec(f"o{k}", KIND_FLOAT64)
+                  for k in range(1, N_VALUES + 1))
+    table = (
+        ("load", "images", DENSE, (img, *local), values, (1, side, side)),
+        ("load", "image_origin", DENSE, (img,), ints("orig_x", "orig_y"),
+         (n,)),
+        ("cook", "obs", SPARSE, (img, *local), ints("obs_id"), (1, g, g)),
+        ("cook", "obs_center", SPARSE, (img, *world),
+         ints("obs_id") + means, (1, dom, dom)),
+        ("group", "group_center", SPARSE, (cycle, *world),
+         ints("group_id"), (1, dom, dom)),
+        ("group", "group_center_img", SPARSE, (cycle, img, *world),
+         ints("group_id"), (1, 1, dom, dom)),
+        ("group", "obs_group", SPARSE, (cycle, obs), ints("group_id"),
+         (1, n_obs)),
+    )
+    return {name: _StoredArray(phase, ArraySchema(
+        name, tuple(DimensionSpec(d, 0, e - 1) for d, e in dims), attrs,
+        density), tile)
+        for phase, name, density, dims, attrs, tile in table}
+
+
+# The arrays each phase writes, in phase order.
+PHASE_ARRAYS = {phase: tuple(name for name, _ in arrays)
+                for phase, arrays in itertools.groupby(
+                    _stored_arrays(BenchConfig()).items(),
+                    key=lambda item: item[1].phase)}
 
 
 def _int_columns(names, rows) -> dict:
     """Rows of integers as one int64 column per name."""
     cols = np.array(rows, dtype=np.int64).reshape(-1, len(names)).T
     return dict(zip(names, cols))
+
+
+def _rows(cells, *names) -> list:
+    """The cells of a ``CellBatch`` as sorted tuples of the named
+    coordinates and attributes."""
+    cols = {**cells.coords, **cells.columns}
+    return sorted(zip(*(cols[name].tolist() for name in names)))
+
+
+def _local_box(offset, lo, hi) -> Box:
+    """The global box [lo : hi] in the image frame that ``offset`` (see
+    ``Workload._offsets``) moves to global coordinates."""
+    return Box(tuple(map(operator.sub, lo, offset)),
+               tuple(map(operator.sub, hi, offset)))
+
+
+def _measured(query):
+    """A query method that returns ``(value, Meter)``: its value, and the
+    meter of every read and merge of the whole call."""
+    @functools.wraps(query)
+    def measured(*args, **kwargs):
+        with metered() as meter:
+            value = query(*args, **kwargs)
+        return value, meter
+    return measured
 
 
 class Workload:
@@ -490,69 +535,16 @@ class Workload:
         self.observations = {}   # img_id -> [Observation]
         self.groups = {}         # cycle -> [ObservationGroup]
         self._origins = None     # see image_origins
+        self._stored = _stored_arrays(config)
 
-    # -- schemas ----------------------------------------------------------
+    # -- the stored arrays ------------------------------------------------
 
-    def images_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("images", (
-            DimensionSpec("img_id", 0, c.n_images - 1),
-            DimensionSpec("x", 0, c.grid_extent - 1),
-            DimensionSpec("y", 0, c.grid_extent - 1)), _V_ATTRS, "dense")
-
-    def image_origin_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("image_origin", (
-            DimensionSpec("img_id", 0, c.n_images - 1),),
-            (AttributeSpec("orig_x", KIND_INT64),
-             AttributeSpec("orig_y", KIND_INT64)), "dense")
-
-    def obs_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("obs", (
-            DimensionSpec("img_id", 0, c.n_images - 1),
-            DimensionSpec("x", 0, c.grid_extent - 1),
-            DimensionSpec("y", 0, c.grid_extent - 1)),
-            (AttributeSpec("obs_id", KIND_INT64),), "sparse")
-
-    def obs_center_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("obs_center", (
-            DimensionSpec("img_id", 0, c.n_images - 1),
-            DimensionSpec("x", 0, c.domain_extent - 1),
-            DimensionSpec("y", 0, c.domain_extent - 1)),
-            (AttributeSpec("obs_id", KIND_INT64),) + _O_ATTRS, "sparse")
-
-    def group_center_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("group_center", (
-            DimensionSpec("cycle", 0, c.n_cycles - 1),
-            DimensionSpec("x", 0, c.domain_extent - 1),
-            DimensionSpec("y", 0, c.domain_extent - 1)),
-            (AttributeSpec("group_id", KIND_INT64),), "sparse")
-
-    def group_center_img_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("group_center_img", (
-            DimensionSpec("cycle", 0, c.n_cycles - 1),
-            DimensionSpec("img_id", 0, c.n_images - 1),
-            DimensionSpec("x", 0, c.domain_extent - 1),
-            DimensionSpec("y", 0, c.domain_extent - 1)),
-            (AttributeSpec("group_id", KIND_INT64),), "sparse")
-
-    def obs_group_schema(self) -> ArraySchema:
-        c = self.config
-        return ArraySchema("obs_group", (
-            DimensionSpec("cycle", 0, c.n_cycles - 1),
-            DimensionSpec("obs_id", 0, c.n_images * c.grid_extent ** 2 - 1)),
-            (AttributeSpec("group_id", KIND_INT64),), "sparse")
-
-    def _require(self, array: str):
-        """The catalog entry of ``array``. If it is missing,
+    def _require(self, array: str) -> ArraySchema:
+        """The stored schema of ``array``. If it is missing,
         ``DependencyError`` names the first phase whose arrays are not all
         in the catalog."""
         try:
-            return self.catalog.entry(array)
+            return self.catalog.entry(array).schema
         except CatalogError:
             phase = next(p for p, names in PHASE_ARRAYS.items()
                          if not set(names) <= set(self.catalog.arrays))
@@ -560,15 +552,30 @@ class Workload:
                 f"array {array!r} missing; run the {phase!r} phase first") \
                 from None
 
+    def _slab(self, array: str, lo, hi) -> Box:
+        """The box [lo : hi] clipped to the domain of stored ``array``;
+        ``ConfigError`` if it misses the domain."""
+        box = Box(lo, hi)
+        inter = box_intersect(self._require(array).box, box)
+        if inter is None:
+            raise ConfigError(f"query box {box} outside {array} domain")
+        return inter
+
     def _reset(self, phase: str):
         """Drop the arrays of ``phase`` and of every later phase, which
         are derived from them, and create ``phase``'s arrays empty."""
-        order = list(PHASE_ARRAYS)
-        for later in order[order.index(phase):]:
-            for name in PHASE_ARRAYS[later]:
-                self.catalog.drop_array(name)
+        names = list(self._stored)   # in phase order
+        for name in names[names.index(PHASE_ARRAYS[phase][0]):]:
+            self.catalog.drop_array(name)
         for name in PHASE_ARRAYS[phase]:
-            self.catalog.create_array(getattr(self, f"{name}_schema")())
+            self.catalog.create_array(self._stored[name].schema)
+
+    def _store(self, array: str, data: dict, box: Box | None = None):
+        """Add ``data`` (see ``chunk_array``) to ``array``, cut into its
+        tiles."""
+        stored = self._stored[array]
+        self.catalog.add_chunks(array, chunk_array(stored.schema, data,
+                                                   stored.tile, box))
 
     # -- generation -------------------------------------------------------
 
@@ -606,7 +613,6 @@ class Workload:
             jitter = rng.integers(-3, 4, (c.cycle_size, n_blobs, 2))
             plans.append((centers, radii, jitter))
 
-        schema = self.images_schema()
         for img in range(c.n_images):
             cycle = img // c.cycle_size
             centers, radii, jitter = plans[cycle]
@@ -630,17 +636,13 @@ class Workload:
                     block[ell] = vals[k]
             # No name holds the chunks: they are freed before the next
             # image is drawn.
-            self.catalog.add_chunks("images", chunk_array(
-                schema,
-                {f"v{k}": data[k - 1] for k in range(1, N_VALUES + 1)},
-                (1, c.chunk_side, c.chunk_side),
-                Box((img, 0, 0), (img, g - 1, g - 1))))
+            self._store("images",
+                        {f"v{k}": data[k - 1] for k in range(1, N_VALUES + 1)},
+                        Box((img, 0, 0), (img, g - 1, g - 1)))
             del data
 
-        self.catalog.add_chunks("image_origin", chunk_array(
-            self.image_origin_schema(),
-            {"orig_x": [o[0] for o in origins],
-             "orig_y": [o[1] for o in origins]}, (c.n_images,)))
+        self._store("image_origin", {"orig_x": [o[0] for o in origins],
+                                     "orig_y": [o[1] for o in origins]})
         self.catalog.save()
         assert len(self.catalog.entry("images").chunk_index) == \
             c.n_images * c.tiles_per_image
@@ -649,11 +651,16 @@ class Workload:
         """The global (x, y) origin of every image: read from the catalog
         on first use, and kept until the next ``generate``."""
         if self._origins is None:
-            box = self._require("image_origin").schema.box
+            box = self._require("image_origin").box
             cells = rebox_stored(self.catalog, "image_origin", box).cells()
             self._origins = tuple(zip(cells.columns["orig_x"].tolist(),
                                       cells.columns["orig_y"].tolist()))
         return list(self._origins)
+
+    def _offsets(self) -> list:
+        """Per image, the offset (0, ox, oy) that moves its local
+        (img_id, x, y) cells to global coordinates."""
+        return [(0, ox, oy) for ox, oy in self.image_origins()]
 
     # -- cooking ----------------------------------------------------------
 
@@ -662,45 +669,42 @@ class Workload:
         obs and their centers in obs_center (one chunk of each per image
         with observations), and drop the groups of the old ones."""
         c = self.config
+        g = c.grid_extent
         self._require("images")
-        origins = self.image_origins()
+        offsets = self._offsets()
         self.groups = {}
         self._reset("cook")
-        whole = Box((0, 0), (c.grid_extent - 1, c.grid_extent - 1))
-        self.observations = {img: self.recook(img, whole, c.cook_threshold)
-                             for img in range(c.n_images)}
+        self.observations = {
+            img: self.recook(Box((img, 0, 0), (img, g - 1, g - 1)),
+                             c.cook_threshold)
+            for img in range(c.n_images)}
         obs = [o for img in range(c.n_images) for o in self.observations[img]]
         sizes = [o.size for o in obs]
-        self.catalog.add_chunks("obs", chunk_array(self.obs_schema(), {
+        self._store("obs", {
             "img_id": np.repeat([o.img_id for o in obs], sizes),
             "x": np.concatenate([o.cells_x for o in obs] or [[]]),
             "y": np.concatenate([o.cells_y for o in obs] or [[]]),
-            "obs_id": np.repeat([o.obs_id for o in obs], sizes)},
-            (1, c.grid_extent, c.grid_extent)))
-        centers = {
+            "obs_id": np.repeat([o.obs_id for o in obs], sizes)})
+        self._store("obs_center", {
             "img_id": [o.img_id for o in obs],
-            "x": [round(o.center[0]) + origins[o.img_id][0] for o in obs],
-            "y": [round(o.center[1]) + origins[o.img_id][1] for o in obs],
-            "obs_id": [o.obs_id for o in obs]}
-        for k in range(1, N_VALUES + 1):
-            centers[f"o{k}"] = [o.attrs[f"o{k}"] for o in obs]
-        self.catalog.add_chunks("obs_center", chunk_array(
-            self.obs_center_schema(), centers,
-            (1, c.domain_extent, c.domain_extent)))
+            "x": [round(o.center[0]) + offsets[o.img_id][1] for o in obs],
+            "y": [round(o.center[1]) + offsets[o.img_id][2] for o in obs],
+            "obs_id": [o.obs_id for o in obs],
+            **{f"o{k}": [o.attrs[f"o{k}"] for o in obs]
+               for k in range(1, N_VALUES + 1)}})
         self.catalog.save()
 
-    def recook(self, img: int, region: Box, threshold: int) -> list:
-        """Cook one image within a 2-D region of local coordinates, at the
-        given threshold: ``cook`` runs it over whole images, Q2 over a
-        slab.
+    def recook(self, slab: Box, threshold: int) -> list:
+        """Cook one image within a slab (img_id, x, y) of local
+        coordinates at the given threshold: ``cook`` runs it over whole
+        images, Q2 over a slab.
 
         Labeling reads ``v1`` alone, and only of the chunks whose ``v1``
         zone reaches the threshold: every component cell clears it, so no
         other chunk holds one. The other attributes are read afterwards,
         at the cells of the surviving observations only."""
         c = self.config
-        slab = Box((img, region.lo[0], region.lo[1]),
-                   (img, region.hi[0], region.hi[1]))
+        img = slab.lo[0]
         arr = rebox_stored(self.catalog, "images", slab, columns=["v1"],
                            predicate={"v1": (threshold, INT64_MAX)})
         nw = max(1, c.n_workers)
@@ -730,8 +734,8 @@ class Workload:
                    (img, int(xs.max()), int(ys.max())))
         for cid in self.catalog.prune("images", span):
             box = entry.ref(cid).box
-            inside = np.flatnonzero((xs >= box.lo[1]) & (xs <= box.hi[1]) &
-                                    (ys >= box.lo[2]) & (ys <= box.hi[2]))
+            inside = np.flatnonzero(cells_in_box(
+                (xs, ys), Box(box.lo[1:], box.hi[1:])))
             if not len(inside):
                 continue
             inside = inside[np.argsort(xs[inside], kind="stable")]
@@ -756,6 +760,7 @@ class Workload:
         (one chunk per cycle), group_center_img (one chunk per image) and
         obs_group, every observation's group (one chunk per cycle)."""
         c = self.config
+        dom = c.domain_extent
         self._require("obs_center")
         self._reset("group")
 
@@ -763,246 +768,180 @@ class Workload:
         for cycle in range(c.n_cycles):
             imgs = c.cycle_images(cycle)
             cells = rebox_stored(self.catalog, "obs_center", Box(
-                (imgs[0], 0, 0),
-                (imgs[-1], c.domain_extent - 1, c.domain_extent - 1)),
+                (imgs[0], 0, 0), (imgs[-1], dom - 1, dom - 1)),
                 columns=["obs_id"]).cells()
             centers_by_img = {img: [] for img in imgs}
-            for oid, img, x, y in sorted(zip(
-                    cells.columns["obs_id"].tolist(),
-                    cells.coords["img_id"].tolist(),
-                    cells.coords["x"].tolist(), cells.coords["y"].tolist())):
+            for oid, img, x, y in _rows(cells, "obs_id", "img_id", "x", "y"):
                 centers_by_img[img].append((oid, (float(x), float(y))))
             self.groups[cycle] = group_cycle(
                 cycle, centers_by_img, c.group_radius, c.group_time_weight,
                 c.cycle_size)
 
         groups = [g for cycle in range(c.n_cycles) for g in self.groups[cycle]]
-        dom = c.domain_extent
-        self.catalog.add_chunks("group_center", chunk_array(
-            self.group_center_schema(), _int_columns(
-                ("cycle", "x", "y", "group_id"),
-                [(g.cycle, round(g.center[0]), round(g.center[1]),
-                  g.group_id) for g in groups]), (1, dom, dom)))
-        self.catalog.add_chunks("group_center_img", chunk_array(
-            self.group_center_img_schema(), _int_columns(
-                ("cycle", "img_id", "x", "y", "group_id"),
-                [(g.cycle, img, round(x), round(y), g.group_id)
-                 for g in groups
-                 for img, (x, y) in g.per_img_centers.items()]),
-            (1, 1, dom, dom)))
-        self.catalog.add_chunks("obs_group", chunk_array(
-            self.obs_group_schema(), _int_columns(
-                ("cycle", "obs_id", "group_id"),
-                [(g.cycle, oid, g.group_id)
-                 for g in groups for oid in g.members]),
-            (1, c.n_images * c.grid_extent ** 2)))
+        self._store("group_center", _int_columns(
+            ("cycle", "x", "y", "group_id"),
+            [(g.cycle, round(g.center[0]), round(g.center[1]), g.group_id)
+             for g in groups]))
+        self._store("group_center_img", _int_columns(
+            ("cycle", "img_id", "x", "y", "group_id"),
+            [(g.cycle, img, round(x), round(y), g.group_id)
+             for g in groups for img, (x, y) in g.per_img_centers.items()]))
+        self._store("obs_group", _int_columns(
+            ("cycle", "obs_id", "group_id"),
+            [(g.cycle, oid, g.group_id) for g in groups for oid in g.members]))
         self.catalog.save()
 
-    # -- measurement helper -----------------------------------------------
+    # -- queries: each is its operator pipeline, measured (``_measured``) --
 
-    def _measured(self, fn):
-        """``fn()`` and the ``Meter`` of its reads and merges."""
-        with metered() as meter:
-            value = fn()
-        return value, meter
-
-    def _clip(self, name: str, box: Box) -> Box:
-        schema = self.catalog.entry(name).schema
-        inter = box_intersect(schema.box, box)
-        if inter is None:
-            raise ConfigError(f"query box {box} outside {name} domain")
-        return inter
-
-    def _ids(self, name: str, box: Box, attr: str) -> set:
+    def _ids(self, array: str, box: Box, attr: str) -> set:
         """The distinct values of ``attr`` over the stored cells in
         ``box``."""
-        ids = set()
-        for ch in rebox_stored(self.catalog, name, box, columns=[attr]).chunks:
-            ids.update(ch.columns[attr].tolist())
-        return ids
+        arr = rebox_stored(self.catalog, array, box, columns=[attr])
+        return set().union(*(ch.columns[attr].tolist() for ch in arr.chunks))
 
-    # -- queries ----------------------------------------------------------
-
+    @_measured
     def q1(self, cycle: int, *, x1, y1, t1, u1, vi=1):
-        """Average of one raw attribute over a local-coordinate slab of the
-        cycle's images."""
-        c = self.config
-        self._require("images")
-        imgs = c.cycle_images(cycle)
-        slab = self._clip("images", Box(
-            (imgs[0], x1, y1), (imgs[-1], x1 + t1, y1 + u1)))
+        """REDUCE(avg v_i) ∘ REBOX(images, slab): the average of one raw
+        attribute over a slab of the cycle's images."""
+        imgs = self.config.cycle_images(cycle)
+        slab = self._slab("images", (imgs[0], x1, y1),
+                          (imgs[-1], x1 + t1, y1 + u1))
         attr = f"v{vi}"
+        arr = rebox_stored(self.catalog, "images", slab, columns=[attr])
+        return reduce_op(arr, [], AggregateFn("avg", attr, "result"),
+                         n_workers=self.config.n_workers)
 
-        def run():
-            arr = rebox_stored(self.catalog, "images", slab, columns=[attr])
-            return reduce_op(arr, [], AggregateFn("avg", attr, "result"),
-                             n_workers=c.n_workers)
-        return self._measured(run)
-
+    @_measured
     def q2(self, cycle: int, *, x2, y2, t2, u2, threshold=None):
-        """Recook a slab of the cycle's first image with an alternate
-        threshold."""
+        """COOK(threshold) ∘ REBOX(images, slab): recook a slab of the
+        cycle's first image with an alternate threshold."""
         c = self.config
-        threshold = c.cook_threshold if threshold is None else threshold
         img = c.cycle_images(cycle)[0]
-        g = c.grid_extent
-        region = Box((max(0, x2), max(0, y2)),
-                     (min(g - 1, x2 + t2), min(g - 1, y2 + u2)))
-        return self._measured(lambda: self.recook(img, region, threshold))
+        slab = self._slab("images", (img, x2, y2), (img, x2 + t2, y2 + u2))
+        return self.recook(slab, c.cook_threshold if threshold is None
+                           else threshold)
 
+    @_measured
     def q3(self, cycle: int, *, x1, y1, t3, u3):
-        """Regrid a slab of the cycle's images 10:3 via pattern-selected
-        window averaging of every raw attribute."""
-        c = self.config
-        self._require("images")
-        imgs = c.cycle_images(cycle)
-        slab = self._clip("images", Box(
-            (imgs[0], x1, y1), (imgs[-1], x1 + t3, y1 + u3)))
+        """APPLY_PLUS(avg v1..v11 over 4x4 windows at pattern 1001001000)
+        ∘ REBOX(images, slab): regrid a slab of the cycle's images 10:3."""
+        imgs = self.config.cycle_images(cycle)
+        slab = self._slab("images", (imgs[0], x1, y1),
+                          (imgs[-1], x1 + t3, y1 + u3))
+        pattern = {"img_id": BitPattern("1"),
+                   "x": BitPattern("1001001000"),
+                   "y": BitPattern("1001001000")}
+        return apply_plus(
+            rebox_stored(self.catalog, "images", slab),
+            NeighborhoodShape.of((0, 0), (0, 3), (0, 3)), pattern,
+            [AggregateFn("avg", f"v{k}", f"v{k}_avg")
+             for k in range(1, N_VALUES + 1)],
+            boundary="merge", n_workers=self.config.n_workers)
 
-        def run():
-            arr = rebox_stored(self.catalog, "images", slab)
-            shape = NeighborhoodShape.of((0, 0), (0, 3), (0, 3))
-            pattern = {"img_id": BitPattern("1"),
-                       "x": BitPattern("1001001000"),
-                       "y": BitPattern("1001001000")}
-            aggs = [AggregateFn("avg", f"v{k}", f"v{k}_avg")
-                    for k in range(1, N_VALUES + 1)]
-            return apply_plus(arr, shape, pattern, aggs, boundary="merge",
-                              n_workers=c.n_workers)
-        return self._measured(run)
-
+    @_measured
     def q4(self, cycle: int, *, gx, gy, t2, u2, oi=1):
-        """Average of one cooked attribute over a global-coordinate slab of
-        the cycle's observation centers."""
-        c = self.config
-        self._require("obs_center")
-        imgs = c.cycle_images(cycle)
-        slab = self._clip("obs_center", Box(
-            (imgs[0], gx, gy), (imgs[-1], gx + t2, gy + u2)))
+        """REDUCE(avg o_i) ∘ REBOX(obs_center, slab): the average of one
+        cooked attribute over a slab of the cycle's observation centers."""
+        imgs = self.config.cycle_images(cycle)
+        slab = self._slab("obs_center", (imgs[0], gx, gy),
+                          (imgs[-1], gx + t2, gy + u2))
         attr = f"o{oi}"
+        arr = rebox_stored(self.catalog, "obs_center", slab, columns=[attr])
+        return reduce_op(arr, [], AggregateFn("avg", attr, "result"),
+                         n_workers=self.config.n_workers)
 
-        def run():
-            arr = rebox_stored(self.catalog, "obs_center", slab,
-                               columns=[attr])
-            return reduce_op(arr, [], AggregateFn("avg", attr, "result"),
-                             n_workers=c.n_workers)
-        return self._measured(run)
-
+    @_measured
     def q5(self, cycle: int, *, gx, gy, w, h):
-        """Distinct observations with any member cell inside a global slab,
-        over the cycle's images: each image's ``obs`` cells are stored in
-        local coordinates, so the slab is moved into the image's frame."""
+        """DISTINCT(obs_id) ∘ REBOX(obs, slab in each image's frame): the
+        observations with any member cell inside a global slab, over the
+        cycle's images."""
         self._require("obs")
+        offsets = self._offsets()
+        ids = set()
+        for img in self.config.cycle_images(cycle):
+            ids |= self._ids("obs", _local_box(
+                offsets[img], (img, gx, gy), (img, gx + w, gy + h)),
+                "obs_id")
+        return {"count": len(ids), "obs_ids": sorted(ids)}
 
-        def run():
-            origins = self.image_origins()
-            ids = set()
-            for img in self.config.cycle_images(cycle):
-                ox, oy = origins[img]
-                ids |= self._ids("obs", Box((img, gx - ox, gy - oy),
-                                            (img, gx + w - ox, gy + h - oy)),
-                                 "obs_id")
-            return {"count": len(ids), "obs_ids": sorted(ids)}
-        return self._measured(run)
-
+    @_measured
     def q6(self, cycle: int, *, gx, gy, w, h, d4, d5):
-        """Per image: tiles of side D4 anchored at observation centers that
-        contain at least D5 centers. The window spans one image, so one
-        stencil over the cycle's slab serves every image."""
+        """FILTER(density >= D5) ∘ APPLY_PLUS(count over D4 x D4 windows)
+        ∘ REBOX(obs_center, slab): per image, the tiles anchored at
+        observation centers that hold at least D5 centers. A window spans
+        one image, so one stencil serves every image of the cycle."""
         c = self.config
-        self._require("obs_center")
         imgs = c.cycle_images(cycle)
-        slab = self._clip("obs_center", Box((imgs[0], gx, gy),
-                                            (imgs[-1], gx + w, gy + h)))
-
-        def run():
-            out = {img: [] for img in imgs}
-            arr = rebox_stored(self.catalog, "obs_center", slab,
-                               columns=["obs_id"])
-            if arr.valid_count() == 0:
-                return out
-            shape = NeighborhoodShape.of((0, 0), (0, d4 - 1), (0, d4 - 1))
-            dens = apply_plus(arr, shape, "valid",
-                              AggregateFn("count", None, "density"),
-                              boundary="merge", n_workers=c.n_workers)
-            cells = filter_op(dens, Predicate.of(
-                ranges={"density": (d5, INT64_MAX)})).cells()
-            for img, *row in sorted(zip(cells.coords["img_id"].tolist(),
-                                        cells.coords["x"].tolist(),
-                                        cells.coords["y"].tolist(),
-                                        cells.columns["density"].tolist())):
-                out[img].append(tuple(row))
+        slab = self._slab("obs_center", (imgs[0], gx, gy),
+                          (imgs[-1], gx + w, gy + h))
+        out = {img: [] for img in imgs}
+        arr = rebox_stored(self.catalog, "obs_center", slab,
+                           columns=["obs_id"])
+        if arr.valid_count() == 0:
             return out
-        return self._measured(run)
+        dens = apply_plus(arr, NeighborhoodShape.of((0, 0), (0, d4 - 1),
+                                                    (0, d4 - 1)),
+                          "valid", AggregateFn("count", None, "density"),
+                          boundary="merge", n_workers=c.n_workers)
+        cells = filter_op(dens, Predicate.of(
+            ranges={"density": (d5, INT64_MAX)})).cells()
+        for img, *row in _rows(cells, "img_id", "x", "y", "density"):
+            out[img].append(tuple(row))
+        return out
 
+    @_measured
     def q7(self, cycle: int, *, gx, gy, w, h):
-        """Group centers of one cycle inside a global slab."""
-        self._require("group_center")
-        slab = self._clip("group_center",
-                          Box((cycle, gx, gy), (cycle, gx + w, gy + h)))
-        return self._measured(
-            lambda: sorted(self._ids("group_center", slab, "group_id")))
+        """DISTINCT(group_id) ∘ REBOX(group_center, slab): the groups of
+        one cycle with their center inside a global slab."""
+        slab = self._slab("group_center", (cycle, gx, gy),
+                          (cycle, gx + w, gy + h))
+        return sorted(self._ids("group_center", slab, "group_id"))
 
     def _group_tiles(self, cycle: int, group_ids, d6):
-        """Raw D6-radius tiles around every per-image center of the given
-        groups (phase 2 of Q8/Q9)."""
+        """SHIFT ∘ REBOX(images, D6-radius tile) around every per-image
+        center of the given groups, in global coordinates (phase 2 of
+        Q8/Q9)."""
         c = self.config
-        origins = self.image_origins()
-        arr = rebox_stored(self.catalog, "group_center_img",
-                           self._clip("group_center_img", Box(
-                               (cycle, 0, 0, 0),
-                               (cycle, c.n_images - 1, c.domain_extent - 1,
-                                c.domain_extent - 1))))
-        cells = arr.cells()
-        tiles = []
-        rows = sorted(zip(cells.columns["group_id"].tolist(),
-                          cells.coords["img_id"].tolist(),
-                          cells.coords["x"].tolist(),
-                          cells.coords["y"].tolist()))
+        dom = c.domain_extent
+        offsets = self._offsets()
+        centers = rebox_stored(
+            self.catalog, "group_center_img",
+            self._slab("group_center_img", (cycle, 0, 0, 0),
+                       (cycle, c.n_images - 1, dom - 1, dom - 1))).cells()
         wanted = set(group_ids)
-        for gid, img, cx, cy in rows:
+        tiles = []
+        for gid, img, cx, cy in _rows(centers, "group_id", "img_id", "x", "y"):
             if gid not in wanted:
                 continue
-            ox, oy = origins[img]
-            # Tile in the image's local coordinates; the read clips it to
-            # the image.
-            tile = rebox_stored(self.catalog, "images", Box(
-                (img, cx - d6 - ox, cy - d6 - oy),
-                (img, cx + d6 - ox, cy + d6 - oy)))
-            if not tile.chunks:
-                continue
-            # Address the tile globally, like the stored centers.
-            tiles.append((gid, img, shift(tile, (0, ox, oy))))
+            # The tile in the image's frame; the read clips it to the image.
+            tile = rebox_stored(self.catalog, "images", _local_box(
+                offsets[img], (img, cx - d6, cy - d6), (img, cx + d6, cy + d6)))
+            if tile.chunks:
+                # Address the tile globally, like the stored centers.
+                tiles.append((gid, img, shift(tile, offsets[img])))
         return tiles
 
+    @_measured
     def q8(self, cycle: int, *, gx, gy, w, h, d6):
-        """Raw tiles around the trajectories of groups having any per-image
-        center inside a global slab."""
-        c = self.config
-        self._require("group_center_img")
+        """Raw tiles around the trajectories of the groups with any
+        per-image center inside a global slab: ``_group_tiles`` of
+        DISTINCT(group_id) ∘ REBOX(group_center_img, slab)."""
+        slab = self._slab("group_center_img", (cycle, 0, gx, gy),
+                          (cycle, self.config.n_images - 1, gx + w, gy + h))
+        return self._group_tiles(
+            cycle, self._ids("group_center_img", slab, "group_id"), d6)
 
-        def run():
-            slab = self._clip("group_center_img", Box(
-                (cycle, 0, gx, gy),
-                (cycle, c.n_images - 1, gx + w, gy + h)))
-            ids = self._ids("group_center_img", slab, "group_id")
-            return self._group_tiles(cycle, ids, d6)
-        return self._measured(run)
-
+    @_measured
     def q9(self, cycle: int, *, gx, gy, w, h, d6):
         """Like Q8, but groups qualify when any member observation's cells
-        intersect the slab: Q5 finds the observations, and ``obs_group``
-        maps them to their groups."""
-        self._require("group_center_img")
+        intersect the slab: Q5 finds the observations, and
+        REBOX(obs_group, their ids) maps them to their groups."""
         self._require("obs_group")
-
-        def run():
-            found = self.q5(cycle, gx=gx, gy=gy, w=w, h=h)[0]["obs_ids"]
-            ids = set()
-            if found:
-                cells = rebox_stored(self.catalog, "obs_group", Box(
-                    (cycle, found[0]), (cycle, found[-1]))).cells()
-                hit = np.isin(cells.coords["obs_id"], found)
-                ids = set(cells.columns["group_id"][hit].tolist())
-            return self._group_tiles(cycle, ids, d6)
-        return self._measured(run)
+        found = self.q5(cycle, gx=gx, gy=gy, w=w, h=h)[0]["obs_ids"]
+        ids = set()
+        if found:
+            cells = rebox_stored(self.catalog, "obs_group", Box(
+                (cycle, found[0]), (cycle, found[-1]))).cells()
+            hit = np.isin(cells.coords["obs_id"], found)
+            ids = set(cells.columns["group_id"][hit].tolist())
+        return self._group_tiles(cycle, ids, d6)

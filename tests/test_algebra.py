@@ -97,6 +97,19 @@ class TestShift:
         with pytest.raises(DomainError):
             shift(arr, (1,))
 
+    def test_domain_overflow(self, rng):
+        """The domain is checked for overflow as the chunk boxes are,
+        also where every chunk would still fit."""
+        arr, _, _ = make_sparse_2d(rng, 100, 100, 5, chunk_shape=(10, 10))
+        arr = rebox(arr, Box((0, 0), (9, 9)))
+        wide = Array(ArraySchema(arr.schema.name, (
+            DimensionSpec("x", 0, 99), DimensionSpec("y", 0, 99)),
+            arr.schema.attrs, arr.schema.density), arr.chunks)
+        big = int(np.iinfo(np.int64).max) - 50
+        assert shift(arr, (big, 0)).box.hi[0] == big + 9
+        with pytest.raises(DomainError, match="overflow"):
+            shift(wide, (big, 0))
+
 
 class TestRebox:
     def test_clip_matches_oracle(self, rng):

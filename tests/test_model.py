@@ -107,6 +107,13 @@ class TestSchema:
         with pytest.raises(SchemaError):
             s.attr("w")
 
+    def test_derived_values_are_built_once(self):
+        s = ArraySchema("t", (DimensionSpec("x", 0, 4),),
+                        (AttributeSpec("v", "int64"),))
+        assert s.box is s.box
+        assert s.dim_names is s.dim_names and s.attr_names is s.attr_names
+        assert s == ArraySchema("t", s.dims, s.attrs)
+
 
 def _schema_2d():
     return ArraySchema("t", (DimensionSpec("x", 0, 3),

@@ -20,6 +20,7 @@ from arraybench import (
 )
 from arraybench.errors import ConfigError, DependencyError
 from arraybench.gla import run_gla_chunks
+from arraybench.meter import metered
 from arraybench.plans import result_digest
 from arraybench.workload import N_VALUES, CookGLA
 
@@ -256,6 +257,12 @@ class TestConfig:
         config that sets one is rejected, not accepted and ignored."""
         with pytest.raises(ConfigError, match="unknown config key"):
             BenchConfig.from_mapping({key: "5"})
+
+    @pytest.mark.parametrize("key", ["n_cycles", "tiles_per_image",
+                                     "cycle_images"])
+    def test_derived_values_are_not_config_keys(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            BenchConfig.from_mapping({key: "2"})
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +581,8 @@ class TestWorkloadEndToEnd:
         wl = Workload(small_config(), tmp_path / "empty")
         with pytest.raises(DependencyError):
             wl.q1(0, x1=100, y1=100, t1=300, u1=300)
+        with pytest.raises(DependencyError, match="'load' phase"):
+            wl.q2(0, x2=0, y2=0, t2=59, u2=59)
         with pytest.raises(DependencyError):
             wl.cook()
         with pytest.raises(DependencyError):
@@ -644,6 +653,36 @@ class TestWorkloadEndToEnd:
 
 
 class TestQueries:
+    # One call of every query on the cooked catalog, with cells to read.
+    CALLS = {"q1": dict(x1=10, y1=20, t1=50, u1=40),
+             "q2": dict(x2=0, y2=0, t2=59, u2=59),
+             "q3": dict(x1=0, y1=0, t3=59, u3=59),
+             "q4": dict(gx=0, gy=0, t2=1999, u2=1999),
+             "q5": dict(gx=0, gy=0, w=1999, h=1999),
+             "q6": dict(gx=0, gy=0, w=1999, h=1999, d4=40, d5=2),
+             "q7": dict(gx=0, gy=0, w=1999, h=1999),
+             "q8": dict(gx=0, gy=0, w=1999, h=1999, d6=5),
+             "q9": dict(gx=750, gy=750, w=500, h=500, d6=10)}
+
+    @pytest.mark.parametrize("query", sorted(CALLS))
+    def test_meter_counts_the_whole_call(self, cooked, query):
+        """A query's meter holds every read and merge of the call, and
+        nothing else: it equals a meter around the call."""
+        fresh = Workload(cooked.config, cooked.catalog.data_dir)
+        with metered() as outer:
+            _value, meter = getattr(fresh, query)(1, **self.CALLS[query])
+        assert meter == outer
+        assert meter.chunks_read > 0
+
+    @pytest.mark.parametrize("query", ["q1", "q2", "q3"])
+    def test_slab_outside_the_images(self, cooked, query):
+        """A raw slab beyond the 120-cell image misses its domain."""
+        slab = {"q1": dict(x1=500, y1=0, t1=59, u1=59),
+                "q2": dict(x2=500, y2=0, t2=59, u2=59),
+                "q3": dict(x1=500, y1=0, t3=59, u3=59)}[query]
+        with pytest.raises(ConfigError, match="outside images domain"):
+            getattr(cooked, query)(0, **slab)
+
     def test_q1_matches_direct_average(self, cooked):
         c = cooked.config
         value, stats = cooked.q1(0, x1=10, y1=20, t1=50, u1=40, vi=2)
