@@ -7,6 +7,13 @@ by per-dimension repeating bit patterns). Cross-chunk stencils run either
 by merging per-chunk partial states (through the aggregate engine) or by
 pre-replicating border layers so every stencil is chunk-local; the two
 strategies produce identical results.
+
+Only ``gather_region`` and ``_join`` look at a chunk's layout here.
+``filter`` and ``apply`` drop cells through ``model.keep_cells``.
+``combine`` and ``inner_djoin`` share ``_join``: a dense pair ANDs its
+validities, any other pair matches cells by coordinates, and the result
+is dense when every chunk of it is. A chunk whose box has no partner is
+skipped unless a chunk of the other array overlaps it.
 """
 
 from __future__ import annotations
@@ -34,12 +41,14 @@ from .model import (
     ArraySchema,
     AttributeSpec,
     Box,
+    Chunk,
     DimensionSpec,
     KIND_FLOAT64,
     KIND_INT64,
     box_intersect,
     cells_in_box,
     clip_chunk,
+    keep_cells,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -291,21 +300,18 @@ def shift(array: Array, offset) -> Array:
         raise DomainError("shift offset dimensionality mismatch")
     schema = _clipped_schema(array.schema,
                              array.schema.box.translate(offset))
+    moves = dict(zip(array.schema.dim_names, map(int, offset)))
     chunks = []
     for c in array.chunks:
-        box = c.box.translate(offset)
         meta = dict(c.zone_meta)
-        for i, d in enumerate(array.schema.dims):
-            lo, hi = meta[d.name]
-            meta[d.name] = (lo + int(offset[i]), hi + int(offset[i]))
-        if c.layout == DENSE:
-            chunks.append(type(c)(c.chunk_id, box, c.layout, c.columns,
-                                  validity=c.validity, zone_meta=meta))
-        else:
-            dim_cols = {d.name: c.dim_columns[d.name] + int(offset[i])
-                        for i, d in enumerate(array.schema.dims)}
-            chunks.append(type(c)(c.chunk_id, box, c.layout, c.columns,
-                                  dim_columns=dim_cols, zone_meta=meta))
+        for d, o in moves.items():
+            lo, hi = meta[d]
+            meta[d] = (lo + o, hi + o)
+        dim_cols = None if c.dim_columns is None else {
+            d: c.dim_columns[d] + o for d, o in moves.items()}
+        chunks.append(Chunk(c.chunk_id, c.box.translate(offset), c.layout,
+                            c.columns, validity=c.validity,
+                            dim_columns=dim_cols, zone_meta=meta))
     return Array(schema, chunks)
 
 
@@ -372,23 +378,10 @@ def filter(array: Array, predicate: Predicate) -> Array:  # noqa: A001
         excluded = any(
             not (c.zone_meta[a][0] <= hi and c.zone_meta[a][1] >= lo)
             for a, (lo, hi) in ranges.items())
-        if c.layout == DENSE:
-            if excluded:
-                validity = np.zeros(c.box.volume, dtype=bool)
-            else:
-                mask = predicate.evaluate(c.columns)
-                validity = c.validity & mask
-            chunks.append(make_dense_chunk(array.schema, c.box, c.columns,
-                                           validity, chunk_id=c.chunk_id))
-        else:
-            if excluded:
-                continue
-            mask = predicate.evaluate(c.columns)
-            dims = {d: c.dim_columns[d][mask] for d in array.schema.dim_names}
-            attrs = {a: c.columns[a][mask] for a in c.columns}
-            if mask.any():
-                chunks.append(make_sparse_chunk(array.schema, c.box, dims,
-                                                attrs, chunk_id=c.chunk_id))
+        c = keep_cells(array.schema, c,
+                       False if excluded else predicate.evaluate(c.columns))
+        if c.cell_count:
+            chunks.append(c)
     return Array(array.schema, chunks)
 
 
@@ -399,11 +392,9 @@ def fill(array: Array, defaults: dict, chunk_shape=None) -> Array:
         if a not in defaults:
             raise ConfigError(f"fill: missing default for attribute {a!r}")
     grids, valid = gather_region(array, array.box)
-    data = {}
-    for a in array.schema.attr_names:
-        g = grids[a].copy()
-        g[~valid] = defaults[a]
-        data[a] = g.ravel()
+    for a, grid in grids.items():
+        grid[~valid] = defaults[a]
+    data = {a: grid.ravel() for a, grid in grids.items()}
     data["__valid__"] = np.ones(array.box.volume, dtype=bool)
     schema = ArraySchema(array.schema.name, array.schema.dims,
                          array.schema.attrs, DENSE)
@@ -428,136 +419,89 @@ def apply(array: Array, name: str, f) -> Array:  # noqa: A001
         if out.shape == ():
             out = np.full(c.cell_count, float(out))
         bad = ~np.isfinite(out)
-        cols = {a: c.columns[a] for a in array.schema.attr_names if a != name}
-        cols[name] = np.where(bad, 0.0, out)
-        if c.layout == DENSE:
-            faults += int((bad & c.validity).sum())
-            chunks.append(make_dense_chunk(schema, c.box, cols,
-                                           c.validity & ~bad, chunk_id=c.chunk_id))
-        else:
-            faults += int(bad.sum())
-            keep = ~bad
-            dims = {d: c.dim_columns[d][keep] for d in schema.dim_names}
-            cols = {a: v[keep] for a, v in cols.items()}
-            chunks.append(make_sparse_chunk(schema, c.box, dims, cols,
-                                            chunk_id=c.chunk_id))
+        cols = {**c.columns, name: np.where(bad, 0.0, out)}
+        chunks.append(keep_cells(schema, c, ~bad, cols))
+        faults += c.valid_count - chunks[-1].valid_count
     return Array(schema, chunks, diagnostics={"apply_faults": faults})
 
 
 def _aligned_pairs(a: Array, b: Array):
+    """The chunks of ``a`` and ``b`` with the same box, in ``a``'s order. A
+    chunk without a partner (a sparse array drops its empty tiles) must
+    overlap no chunk of the other array."""
     if a.box.ranges() != b.box.ranges():
         raise ShapeError(f"box mismatch: {a.box} vs {b.box}")
-    by_box = {c.box.ranges(): c for c in b.chunks}
-    pairs = []
-    for ca in a.chunks:
-        cb = by_box.get(ca.box.ranges())
-        if cb is None:
+    by_box = {c.box: c for c in b.chunks}
+    a_boxes = {c.box for c in a.chunks}
+    for lone in a_boxes ^ by_box.keys():
+        others = by_box if lone in a_boxes else a_boxes
+        if any(box_intersect(lone, other) for other in others):
             raise ShapeError(
                 "non-aligned chunking is unsupported; chunk boxes must match")
-        pairs.append((ca, cb))
-    if len(b.chunks) != len(a.chunks):
-        raise ShapeError("non-aligned chunking is unsupported")
-    return pairs
+    return [(ca, by_box[ca.box]) for ca in a.chunks if ca.box in by_box]
+
+
+def _cell_keys(schema, box: Box, coords: dict) -> np.ndarray:
+    """Each cell's offsets in ``box`` as one big-endian opaque key: keys
+    sort row-major and, unlike a flat index, cannot overflow."""
+    offsets = np.column_stack([coords[d] - lo for d, lo
+                               in zip(schema.dim_names, box.lo)])
+    return offsets.astype(">u8").view(np.dtype((np.void, 8 * box.ndim)))[:, 0]
+
+
+def _join(a: Array, b: Array, attrs, columns) -> Array:
+    """The cells valid in both aligned arrays, with attributes ``attrs``
+    that ``columns(cols_a, cols_b)`` computes from both inputs' columns of
+    the same cells (the layout rules are in the module docstring)."""
+    schema = ArraySchema(a.schema.name, a.schema.dims, tuple(attrs), SPARSE)
+    chunks = []
+    for ca, cb in _aligned_pairs(a, b):
+        if ca.layout == DENSE and cb.layout == DENSE:
+            chunks.append(make_dense_chunk(
+                schema, ca.box, columns(ca.columns, cb.columns),
+                ca.validity & cb.validity, chunk_id=ca.chunk_id))
+            continue
+        ba, bb = cell_batch(ca, a.schema), cell_batch(cb, b.schema)
+        _, ia, ib = np.intersect1d(_cell_keys(a.schema, ca.box, ba.coords),
+                                   _cell_keys(a.schema, ca.box, bb.coords),
+                                   return_indices=True)
+        chunks.append(make_sparse_chunk(
+            schema, ca.box, {d: v[ia] for d, v in ba.coords.items()},
+            columns({n: v[ia] for n, v in ba.columns.items()},
+                    {n: v[ib] for n, v in bb.columns.items()}),
+            chunk_id=ca.chunk_id))
+    density = DENSE if all(c.layout == DENSE for c in chunks) else SPARSE
+    return Array(ArraySchema(schema.name, schema.dims, schema.attrs, density),
+                 chunks)
 
 
 def combine(a: Array, b: Array, g) -> Array:
     """Per-cell g over same-named attributes of two aligned arrays; the
     result is valid where both inputs are valid."""
-    g_expr = as_expr(g)
+    g = as_expr(g)
     common = [n for n in a.schema.attr_names if b.schema.has_attr(n)]
     if not common:
         raise SchemaError("combine: the arrays share no attribute names")
-    chunks = []
-    attrs = tuple(spec for spec in a.schema.attrs if spec.name in common)
-    schema = a.schema.with_attrs(attrs)
-    for ca, cb in _aligned_pairs(a, b):
-        if ca.layout == DENSE and cb.layout == DENSE:
-            validity = ca.validity & cb.validity
-            cols = {}
-            for n in common:
-                if isinstance(g_expr, Expr):
-                    out = g_expr({"a": ca.columns[n], "b": cb.columns[n]})
-                else:
-                    out = g_expr(ca.columns[n], cb.columns[n])
-                cols[n] = np.asarray(out)
-            cols = {n: v.astype(schema.attr(n).dtype, copy=False)
-                    if v.dtype != schema.attr(n).dtype else v
-                    for n, v in cols.items()}
-            chunks.append(make_dense_chunk(schema, ca.box, cols, validity,
-                                           chunk_id=ca.chunk_id))
-        else:
-            ba, bb = cell_batch(ca, a.schema), cell_batch(cb, b.schema)
-            ia, ib = _match_cells(a.schema, ca.box, ba, bb)
-            dims = {d: ba.coords[d][ia] for d in a.schema.dim_names}
-            cols = {}
-            for n in common:
-                if isinstance(g_expr, Expr):
-                    out = g_expr({"a": ba.columns[n][ia], "b": bb.columns[n][ib]})
-                else:
-                    out = g_expr(ba.columns[n][ia], bb.columns[n][ib])
-                cols[n] = np.asarray(out)
-            chunks.append(make_sparse_chunk(
-                ArraySchema(schema.name, schema.dims, schema.attrs, SPARSE),
-                ca.box, dims, cols, chunk_id=ca.chunk_id))
-    density = DENSE if all(c.layout == DENSE for c in chunks) or not chunks \
-        else SPARSE
-    schema = ArraySchema(schema.name, schema.dims, schema.attrs, density)
-    return Array(schema, chunks)
 
-
-def _flat_keys(schema, box: Box, coords: dict) -> np.ndarray:
-    key = np.zeros(len(next(iter(coords.values()))), dtype=np.int64)
-    for d, lo, extent in zip(schema.dim_names, box.lo, box.extents):
-        key = key * extent + (coords[d] - lo)
-    return key
-
-
-def _match_cells(schema, box, ba: CellBatch, bb: CellBatch):
-    ka = _flat_keys(schema, box, ba.coords)
-    kb = _flat_keys(schema, box, bb.coords)
-    _, ia, ib = np.intersect1d(ka, kb, assume_unique=False,
-                               return_indices=True)
-    return ia, ib
+    def columns(ca, cb):
+        if isinstance(g, Expr):
+            return {n: g({"a": ca[n], "b": cb[n]}) for n in common}
+        return {n: g(ca[n], cb[n]) for n in common}
+    return _join(a, b, [spec for spec in a.schema.attrs
+                        if spec.name in common], columns)
 
 
 def inner_djoin(a: Array, b: Array) -> Array:
     """Structural join on dimension equality for aligned arrays; result
     cells carry the concatenated attributes, valid where both valid."""
-    rename = {}
-    names = set(a.schema.attr_names)
-    b_attrs = []
-    for spec in b.schema.attrs:
-        n = spec.name
-        if n in names:
-            n = n + "_r"
-        rename[spec.name] = n
-        b_attrs.append(AttributeSpec(n, spec.kind))
-    attrs = a.schema.attrs + tuple(b_attrs)
-    chunks = []
-    all_dense = True
-    for ca, cb in _aligned_pairs(a, b):
-        if ca.layout == DENSE and cb.layout == DENSE:
-            validity = ca.validity & cb.validity
-            cols = dict(ca.columns)
-            for old, new in rename.items():
-                cols[new] = cb.columns[old]
-            schema = a.schema.with_attrs(attrs)
-            chunks.append(make_dense_chunk(schema, ca.box, cols, validity,
-                                           chunk_id=ca.chunk_id))
-        else:
-            all_dense = False
-            ba, bb = cell_batch(ca, a.schema), cell_batch(cb, b.schema)
-            ia, ib = _match_cells(a.schema, ca.box, ba, bb)
-            dims = {d: ba.coords[d][ia] for d in a.schema.dim_names}
-            cols = {n: ba.columns[n][ia] for n in a.schema.attr_names}
-            for old, new in rename.items():
-                cols[new] = bb.columns[old][ib]
-            schema = ArraySchema(a.schema.name, a.schema.dims, attrs, SPARSE)
-            chunks.append(make_sparse_chunk(schema, ca.box, dims, cols,
-                                            chunk_id=ca.chunk_id))
-    density = DENSE if all_dense else SPARSE
-    schema = ArraySchema(a.schema.name, a.schema.dims, attrs, density)
-    return Array(schema, chunks)
+    rename = {n: n + "_r" if a.schema.has_attr(n) else n
+              for n in b.schema.attr_names}
+    b_attrs = tuple(AttributeSpec(rename[spec.name], spec.kind)
+                    for spec in b.schema.attrs)
+
+    def columns(ca, cb):
+        return {**ca, **{new: cb[old] for old, new in rename.items()}}
+    return _join(a, b, a.schema.attrs + b_attrs, columns)
 
 
 # ---------------------------------------------------------------------------

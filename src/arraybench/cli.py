@@ -166,6 +166,8 @@ def run_benchmark(config: BenchConfig, data_dir, phases=None,
         if p not in PHASES:
             raise ConfigError(f"unknown phase {p!r}")
     phases.sort(key=PHASES.index)
+    if param_configs < 1 or repetitions < 1:
+        raise ConfigError("param_configs and repetitions must be at least 1")
     workload = Workload(config, data_dir)
     report = RunReport()
     for phase in phases:

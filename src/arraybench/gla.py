@@ -48,8 +48,10 @@ class CellBatch:
         chunk = self.chunk
         if chunk.layout != DENSE:
             return dict(chunk.dim_columns)
-        return {d.name: chunk.coord_column(i, d.name)[chunk.validity]
-                for i, d in enumerate(self._schema.dims)}
+        # Row-major over the box, the last dimension varying fastest.
+        index = np.nonzero(chunk.validity.reshape(chunk.box.extents))
+        return {d: (i + lo).astype(np.int64, copy=False) for d, i, lo
+                in zip(self._schema.dim_names, index, chunk.box.lo)}
 
     @functools.cached_property
     def columns(self) -> dict:

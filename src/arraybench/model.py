@@ -271,20 +271,6 @@ class Chunk:
             return int(self.validity.sum())
         return self.cell_count
 
-    def coord_column(self, dim_index: int, dim_name: str) -> np.ndarray:
-        """Global coordinates of every cell along one dimension.
-
-        For dense chunks the column is reconstructed from the box (the
-        stored form suppresses it); for sparse chunks it is stored.
-        """
-        if self.layout == SPARSE:
-            return self.dim_columns[dim_name]
-        extents = self.box.extents
-        idx = np.arange(self.box.volume, dtype=np.int64)
-        for d in range(len(extents) - 1, dim_index, -1):
-            idx //= extents[d]
-        return idx % extents[dim_index] + self.box.lo[dim_index]
-
 
 def compute_zone_meta(schema: ArraySchema, box: Box, layout: str, columns: dict,
                       validity=None, dim_columns=None) -> dict:
@@ -389,3 +375,19 @@ def clip_chunk(schema: ArraySchema, chunk: Chunk, box: Box) -> Chunk:
         schema, box, {d: col[mask] for d, col in chunk.dim_columns.items()},
         {a: col[mask] for a, col in chunk.columns.items()},
         chunk_id=chunk.chunk_id)
+
+
+def keep_cells(schema: ArraySchema, chunk: Chunk, keep,
+               columns: dict | None = None) -> Chunk:
+    """``chunk`` keeping the cells where ``keep``, a mask over its stored
+    cells or False, is true: ANDed into a dense chunk's validity, or
+    selecting a sparse chunk's cells. ``columns`` replace its attribute
+    columns if given; the box and the id stay."""
+    columns = chunk.columns if columns is None else columns
+    if chunk.layout == DENSE:
+        return make_dense_chunk(schema, chunk.box, columns,
+                                chunk.validity & keep, chunk_id=chunk.chunk_id)
+    return make_sparse_chunk(
+        schema, chunk.box,
+        {d: col[keep] for d, col in chunk.dim_columns.items()},
+        {a: col[keep] for a, col in columns.items()}, chunk_id=chunk.chunk_id)

@@ -63,23 +63,12 @@ class _StencilSpec:
         for ext, dext in zip(shape.extents, self.abox.extents):
             if ext > dext:
                 raise DomainError("neighborhood shape larger than the array box")
-        self.slow = not all(e.dense for e in self.entries)
+        self.mode = "valid" if origins == "valid" else "pattern"
+        self.slow = self.schema.density == SPARSE or \
+            not all(e.dense for e in self.entries)
+        self.dense_out = self.mode == "pattern" or self.schema.density == DENSE
 
-        if origins == "valid":
-            self.mode = "valid"
-            self.dense_out = self.schema.density == DENSE
-            if self.dense_out:
-                # Origin grid = the whole box; activation = cell validity.
-                self.sel = [np.arange(lo, hi + 1, dtype=np.int64)
-                            for lo, hi in self.abox.ranges()]
-            else:
-                cells = array.cells()
-                self.ocoords = np.array(
-                    [cells.coords[d] for d in self.schema.dim_names])
-                self.slow = True
-        else:
-            self.mode = "pattern"
-            self.dense_out = True
+        if self.mode == "pattern":
             from .algebra import BitPattern
             if not isinstance(origins, dict):
                 if len(origins) != nd:
@@ -95,8 +84,14 @@ class _StencilSpec:
                         for p, (lo, hi) in zip(pats, self.abox.ranges())]
             if any(len(s) == 0 for s in self.sel):
                 raise ConfigError("bit pattern selects no origins in range")
-            if self.schema.density == SPARSE:
-                self.slow = True
+        elif self.dense_out:
+            # Origin grid = the whole box; activation = cell validity.
+            self.sel = [np.arange(lo, hi + 1, dtype=np.int64)
+                        for lo, hi in self.abox.ranges()]
+        else:
+            cells = array.cells()
+            self.ocoords = np.array(
+                [cells.coords[d] for d in self.schema.dim_names])
         if self.slow and self.dense_out:
             grids = np.meshgrid(*self.sel, indexing="ij")
             self.ocoords = np.array([g.ravel() for g in grids])

@@ -114,11 +114,16 @@ class BenchConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "BenchConfig":
         defaults = {f.name: f.default for f in fields(cls)}
-        for key in mapping:
+        values = {}
+        for key, raw in mapping.items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
-        return cls(**{key: type(defaults[key])(raw)
-                      for key, raw in mapping.items()})
+            try:
+                values[key] = type(defaults[key])(raw)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"config key {key!r}: bad value {raw!r}") from None
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------

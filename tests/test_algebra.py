@@ -46,6 +46,32 @@ from tests.conftest import (
     numpy_aggregate,
 )
 
+LAYOUTS = ("dense", "sparse")
+LAYOUT_PAIRS = [(la, lb) for la in LAYOUTS for lb in LAYOUTS]
+
+
+def relayout(layout, grids, valid, chunk_shape=None, name="a"):
+    """The valid cells of 2-D grids over [0, nx) x [0, ny) as an array of
+    the given layout."""
+    nx, ny = valid.shape
+    dims = (DimensionSpec("x", 0, nx - 1), DimensionSpec("y", 0, ny - 1))
+    attrs = tuple(AttributeSpec(a, "int64") for a in grids)
+    schema = ArraySchema(name, dims, attrs, layout)
+    if layout == "dense":
+        data = {a: g.ravel() for a, g in grids.items()}
+        data["__valid__"] = valid.ravel()
+    else:
+        xs, ys = np.nonzero(valid)
+        data = {"x": xs, "y": ys, **{a: g[valid] for a, g in grids.items()}}
+    return dense_array(schema, data, chunk_shape=chunk_shape)
+
+
+def random_cells(seed, nx=8, ny=7, valid_prob=0.7):
+    """Random int grids a0, a1 and a validity grid."""
+    t_rng = np.random.default_rng(seed)
+    grids = {a: t_rng.integers(-50, 51, (nx, ny)) for a in ("a0", "a1")}
+    return grids, t_rng.random((nx, ny)) < valid_prob
+
 
 class TestMaterialize:
     def test_dense_round_trip(self, rng):
@@ -222,6 +248,25 @@ class TestFilter:
         with pytest.raises(SchemaError):
             filter_op(arr, Predicate.of(expr="y > 1"))
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layouts_match_oracle(self, layout):
+        grids, valid = random_cells(1, 12, 9)
+        arr = relayout(layout, grids, valid, chunk_shape=(5, 4))
+        out = filter_op(arr, Predicate.of(ranges={"a0": (-10, 30)},
+                                          expr="a1 % 2 == 0"))
+        mask = valid & (grids["a0"] >= -10) & (grids["a0"] <= 30) \
+            & (grids["a1"] % 2 == 0)
+        for a in ("a0", "a1"):
+            got, gvalid = materialize(out, a)
+            assert np.array_equal(gvalid, mask)
+            assert np.array_equal(got[mask], grids[a][mask])
+        # Dense chunks stay; sparse chunks left without cells are dropped.
+        assert all(c.cell_count for c in out.chunks)
+        none = filter_op(arr, Predicate.of(ranges={"a0": (999, 1000)}))
+        assert none.valid_count() == 0
+        assert len(none.chunks) == (len(arr.chunks) if layout == "dense"
+                                    else 0)
+
     def test_zone_exclusion_skips_chunks(self, rng):
         # Values in [-50, 50]; an impossible range invalidates everything
         # without evaluating the predicate per cell.
@@ -270,6 +315,22 @@ class TestApply:
         assert np.array_equal(gvalid, ~zero)
         assert out.diagnostics["apply_faults"] == int(zero.sum())
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layouts_match_oracle_with_faults(self, layout):
+        grids, valid = random_cells(2)
+        grids["a1"][::2] = 0
+        arr = relayout(layout, grids, valid, chunk_shape=(4, 3))
+        out = apply(arr, "q", "a0 / a1")
+        ok = valid & (grids["a1"] != 0)
+        got, gvalid = materialize(out, "q")
+        assert np.array_equal(gvalid, ok)
+        assert np.array_equal(got[ok], grids["a0"][ok] / grids["a1"][ok])
+        kept, _ = materialize(out, "a0")
+        assert np.array_equal(kept[ok], grids["a0"][ok])
+        # Faults count valid cells only.
+        assert out.diagnostics["apply_faults"] == int((valid & ~ok).sum())
+        assert out.schema.density == layout
+
     def test_replaces_existing_attribute(self, rng):
         arr, grids, valid = make_dense_2d(rng, 5, 5)
         out = apply(arr, "a0", "a0 * 0 + 7")
@@ -286,6 +347,92 @@ class TestApply:
         arr, _, _ = make_dense_2d(rng, 4, 4)
         with pytest.raises(SchemaError):
             apply(arr, "t", "nope + 1")
+
+
+def tiled_cells(*tiles):
+    """A validity grid over 6x6 with one valid cell at the centre of each
+    listed 3x3 tile (numbered row-major) and one at its corner."""
+    valid = np.zeros((6, 6), dtype=bool)
+    for t in tiles:
+        x, y = 3 * (t // 2), 3 * (t % 2)
+        valid[x + 1, y + 1] = valid[x, y] = True
+    return valid
+
+
+JOINS = {"combine": lambda a, b: combine(a, b, "a + b"),
+         "inner_djoin": inner_djoin}
+
+
+@pytest.mark.parametrize("join", sorted(JOINS))
+class TestJoinLayouts:
+    """combine and inner_djoin on every pair of input layouts."""
+
+    def check(self, join, a, b, ga, gb, both):
+        out = JOINS[join](a, b)
+        expected = {"a0": ga["a0"] + gb["a0"]} if join == "combine" else \
+            {"a0": ga["a0"], "a1": ga["a1"], "a0_r": gb["a0"],
+             "a1_r": gb["a1"]}
+        for name, grid in expected.items():
+            got, gvalid = materialize(out, name)
+            assert np.array_equal(gvalid, both)
+            assert np.array_equal(got[both], grid[both])
+        return out
+
+    @pytest.mark.parametrize("la, lb", LAYOUT_PAIRS)
+    def test_matches_oracle(self, join, la, lb):
+        ga, va = random_cells(3)
+        gb, vb = random_cells(4)
+        out = self.check(join, relayout(la, ga, va, (4, 4)),
+                         relayout(lb, gb, vb, (4, 4), "b"), ga, gb, va & vb)
+        dense = la == lb == "dense"
+        assert out.schema.density == ("dense" if dense else "sparse")
+        assert all(c.layout == out.schema.density for c in out.chunks)
+
+    @pytest.mark.parametrize("la, lb", LAYOUT_PAIRS)
+    def test_missing_tiles_are_skipped(self, join, la, lb):
+        """A sparse array drops its empty tiles; the join skips a tile the
+        other array lacks when no other tile overlaps it."""
+        grids, _ = random_cells(5, 6, 6)
+        va = np.ones((6, 6), dtype=bool) if la == "dense" \
+            else tiled_cells(0, 1, 3)
+        vb = np.ones((6, 6), dtype=bool) if lb == "dense" \
+            else tiled_cells(1, 2)
+        a, b = (relayout(la, grids, va, (3, 3)),
+                relayout(lb, grids, vb, (3, 3), "b"))
+        self.check(join, a, b, grids, grids, va & vb)
+
+    @pytest.mark.parametrize("dims, cells_a, cells_b", [
+        # 2**32 * 2**32 cells: a flat index wraps to 0 at (2**32, 0).
+        ((("x", 0, 2**32), ("y", 0, 2**32 - 1)),
+         [(0, 0), (7, 3)], [(2**32, 0), (7, 3)]),
+        ((("x", -2**63 + 1, 2**63 - 2),),
+         [(-2**63 + 1,), (2**63 - 2,), (0,)], [(2**63 - 2,), (0,), (1,)]),
+    ])
+    def test_cells_match_exactly_on_huge_boxes(self, join, dims, cells_a,
+                                               cells_b):
+        dims = tuple(DimensionSpec(*d) for d in dims)
+
+        def sparse(name, cells):
+            schema = ArraySchema(name, dims, (AttributeSpec("a0", "int64"),),
+                                 "sparse")
+            data = {d.name: np.array([c[i] for c in cells])
+                    for i, d in enumerate(dims)}
+            return dense_array(schema, {**data, "a0": np.arange(len(cells))})
+
+        coords = JOINS[join](sparse("a", cells_a),
+                             sparse("b", cells_b)).cells().coords
+        got = list(zip(*(coords[d.name].tolist() for d in dims)))
+        # The common cells, in row-major order.
+        assert got == sorted(set(cells_a) & set(cells_b))
+
+    def test_overlapping_tiles_rejected(self, join):
+        grids, _ = random_cells(6, 6, 6)
+        a = relayout("sparse", grids, tiled_cells(0), (3, 3))
+        b = relayout("dense", grids, np.ones((6, 6), dtype=bool), (2, 2))
+        with pytest.raises(ShapeError):
+            JOINS[join](a, b)
+        with pytest.raises(ShapeError):
+            JOINS[join](b, a)
 
 
 class TestCombine:

@@ -49,6 +49,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             BenchConfig.from_mapping({"warp_factor": "9"})
 
+    @pytest.mark.parametrize("key, raw", [("n_images", "eight"),
+                                          ("seed", "4.5"),
+                                          ("group_radius", "wide")])
+    def test_from_mapping_bad_value_names_the_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key}.*{raw}"):
+            BenchConfig.from_mapping({key: raw})
+
 
 class TestQueryParams:
     def test_seeded_and_reproducible(self):
@@ -85,6 +92,17 @@ class TestRunBenchmark:
                                phases=["cook", "load"],
                                param_configs=1, repetitions=1)
         assert [s.name for s in report.stages] == ["load", "cook"]
+
+    @pytest.mark.parametrize("kwargs", [dict(repetitions=0),
+                                        dict(repetitions=-1),
+                                        dict(param_configs=0)])
+    def test_counts_below_one_rejected_before_any_phase(self, tmp_path,
+                                                        kwargs):
+        data_dir = tmp_path / "d"
+        with pytest.raises(ConfigError, match="at least 1"):
+            run_benchmark(small_config(), data_dir, phases=["load", "q1"],
+                          **{"param_configs": 1, "repetitions": 1, **kwargs})
+        assert not data_dir.exists()
 
     def test_full_small_run(self, tmp_path):
         report = run_benchmark(small_config(), tmp_path / "d",
@@ -253,6 +271,16 @@ class TestMain:
         assert main(["--config", str(bad_cfg),
                      "--data-dir", str(tmp_path / "d3")]) == 1
         assert "expected key = value" in capsys.readouterr().err
+        # A value of the wrong type names its key.
+        bad_cfg.write_text("n_images = eight\n")
+        assert main(["--config", str(bad_cfg),
+                     "--data-dir", str(tmp_path / "d5")]) == 1
+        assert "'n_images'" in capsys.readouterr().err
+        # No repetitions.
+        assert main(["--config", str(cfg_path), "--phases", "q1",
+                     "--data-dir", str(tmp_path / "d6"),
+                     "--repetitions", "0"]) == 1
+        assert "at least 1" in capsys.readouterr().err
         # Missing config file.
         assert main(["--config", str(tmp_path / "missing.cfg"),
                      "--data-dir", str(tmp_path / "d4")]) == 1

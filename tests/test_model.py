@@ -10,6 +10,7 @@ from arraybench import (
     Box,
     DimensionSpec,
     box_intersect,
+    cell_batch,
     make_dense_chunk,
     make_sparse_chunk,
 )
@@ -123,7 +124,7 @@ def _schema_2d():
 
 
 class TestDenseChunk:
-    def test_coord_column_matches_cell_coords(self):
+    def test_cell_coords_row_major(self):
         schema = _schema_2d()
         box = Box((1, 0), (3, 2))
         n = box.volume
@@ -132,9 +133,18 @@ class TestDenseChunk:
                                  np.ones(n, bool))
         # Row-major: the last dimension varies fastest.
         rows = [(x, y) for x in range(1, 4) for y in range(0, 3)]
+        coords = cell_batch(chunk, schema).coords
         for i, d in enumerate(schema.dims):
-            col = chunk.coord_column(i, d.name)
-            assert col.tolist() == [row[i] for row in rows]
+            assert coords[d.name].dtype == np.int64
+            assert coords[d.name].tolist() == [row[i] for row in rows]
+        # Invalid cells have no coordinates; the order stays row-major.
+        valid = np.arange(n) % 2 == 0
+        chunk = make_dense_chunk(schema, box,
+                                 {"v": np.zeros(n), "f": np.zeros(n)}, valid)
+        coords = cell_batch(chunk, schema).coords
+        for i, d in enumerate(schema.dims):
+            assert coords[d.name].tolist() == [row[i] for row, ok
+                                               in zip(rows, valid) if ok]
 
     def test_zone_meta_over_valid_cells_only(self):
         schema = _schema_2d()
